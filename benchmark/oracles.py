@@ -176,7 +176,7 @@ def points_agree(a, b, nvars: int, rng, count: int = 2) -> bool:
     where neither has a vanishing denominator; True when all values agree."""
     d = exponent_denominator(a, b)
     done = 0
-    while done < count:
+    for _ in range(100 * count):
         y = [Fraction(rng.randint(2, 9), rng.randint(2, 9)) for _ in range(nvars)]
         if any(v == 1 for v in y):
             continue
@@ -186,7 +186,9 @@ def points_agree(a, b, nvars: int, rng, count: int = 2) -> bool:
         if va != vb:
             return False
         done += 1
-    return True
+        if done == count:
+            return True
+    raise ValueError("no rational point found away from the poles")
 
 
 # -- anticones by the simplicial rule ------------------------------------------------

@@ -175,7 +175,6 @@ def main(argv=None) -> int:
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
         "python": platform.python_version(), "cpus": os.cpu_count(),
         "nominal_unit_s": yardstick.NOMINAL_UNIT_S, "reference_share": yardstick.SHARE,
-        "inputs": battery.inputs,
         "setup": {
             "raw_s": setup_raw, "norm_s": setup_norm,
             "startup": startup,
@@ -246,8 +245,6 @@ def main(argv=None) -> int:
             "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"},
         }
     else:
-        counts = {json.dumps(r["calls"], sort_keys=True) for r in traced}
-        report["traced_counts_repeat"] = len(counts) == 1
         overhead = [t["norm_s"] - p["norm_s"] for p, t in zip(plain, traced)]
         metrics = {}
         for name, (reading, _keys) in tracing.LAYER_METRICS.items():

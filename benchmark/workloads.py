@@ -16,7 +16,7 @@ seconds; see README.md for what each workload exercises.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -38,7 +38,6 @@ class Battery:
     ops: list[Op]
     probes: list[str]  # cheap operations covering every kind, for the cProfile pass
     controls: Callable[[dict], dict[str, bool]]  # warm-up results -> {label: came out unequal}
-    inputs: list[str] = field(default_factory=list)  # what set-up constructed
 
     def op(self, name: str) -> Op:
         return next(op for op in self.ops if op.name == name)
@@ -123,7 +122,7 @@ def fm_sweep() -> Battery:
         return {"fm: chi_res(O(0),O(-1)) vs chi_plus(O(1),O(0)) at rational points": not same}
 
     probes = ["fm conifold L=(0,) M=(-1,)", "fm conifold L=(1,) M=(1,)", "fm rank2 L=(1, 0) M=(0, 0)"]
-    return Battery(ops, probes, controls, ["crossing and extension of kp2, conifold, rank-2 wall"])
+    return Battery(ops, probes, controls)
 
 
 # -- hrr-order --------------------------------------------------------------------
@@ -211,12 +210,12 @@ def hrr_order() -> Battery:
         }
 
     probes = ["hrr P(1,2) O(1) order 6", "hrr C2 diagonal O order 6", "hrr kp2 C3/Z3 side O(1) order 4"]
-    return Battery(ops, probes, controls, ["GIT data of kp2 (both sides), P(1,2), diagonal C2"])
+    return Battery(ops, probes, controls)
 
 
 # -- chambers ---------------------------------------------------------------------
 
-_RANK1_CYCLE = (1, -1, 2, -2, 3, 1, -3, 2, -1, 1, 2, -2)
+_RANK1_CYCLE = (1, -1, 2, -2, 3, 1, -3, 2, -1, 1)
 # rank-1 walls, crepant and not, admissible on both sides
 CREPANCY_WALLS = (
     (1, 1, -2),
@@ -360,7 +359,7 @@ def chambers() -> Battery:
 
     probes = ["anticones rank1 m=8", "validate rank2", "chamber_of rank2", "make_wall_crossing conifold",
               "extend conifold", "seven_loci conifold", "crepancy rank-1 walls"]
-    return Battery(ops, probes, controls, ["rank-1 data m=8,10; rank-2 data; crossings and extensions"])
+    return Battery(ops, probes, controls)
 
 
 # -- orbifold-euler -------------------------------------------------------------------
@@ -401,7 +400,7 @@ def orbifold_euler() -> Battery:
         )}
 
     probes = ["euler P(3,5) O(4,)", "euler P1xP1 O(2, 1)", "euler P(1,2,3) O(1,)"]
-    return Battery(ops, probes, controls, ["GIT data of six compact quotients"])
+    return Battery(ops, probes, controls)
 
 
 WORKLOADS = {

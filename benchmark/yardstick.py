@@ -1,6 +1,6 @@
 """Machine-speed reference: exact Fraction elimination at a fixed size.
 
-The CPU of a small shared sandbox changes speed by 15-25% within
+The CPU of a small shared virtual machine changes speed by 15-25% within
 seconds, inside one process and between processes, and the process is
 now and then descheduled for tens of milliseconds.  Both would swamp the
 differences the benchmark is for, so:
