@@ -105,7 +105,7 @@ def run_round(order, rng, stick, tracer=None) -> dict:
         before = tracer.self_times() if tracer is not None else None
         rec = timed(op, stick)
         if tracer is not None and rec["span_s"] > 0:
-            # wrapper spans are wall time and include the reference slices
+            # wrapper spans are CPU time and include the reference slices
             scale = rec["norm_s"] / rec["span_s"]
             for key, value in tracer.self_times().items():
                 delta = value - before[key]
@@ -167,7 +167,11 @@ def main(argv=None) -> int:
         judge(op, rec, check_rng)
 
     problems = []
-    controls = battery.controls(warm_results)
+    try:
+        controls = battery.controls(warm_results)
+    except Exception as exc:  # e.g. the warm-up result a control reads failed
+        controls = {}
+        problems.append("negative control could not run: %s: %s" % (type(exc).__name__, exc))
     del warm_results
     problems += ["negative control came out equal: %s" % k for k, unequal in controls.items() if not unequal]
 

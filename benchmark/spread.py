@@ -1,15 +1,14 @@
 """Run one workload over several seeds and report each metric's spread.
 
-    python3 benchmark/spread.py --workload NAME --seeds 1-10 --seconds S [--trace 0|1]
+    python3 benchmark/spread.py --workload NAME --seeds 1-10 --seconds S
 
-Runs ``run.py`` once per seed, one process after another, and prints for
-every metric its median and the distance between the first and third
-quartile as a share of the median (``statistics.quantiles(n=4)``).  For
-untraced runs it also prints the unnormalised round wall time and the
-unnormalised round and set-up CPU times read from the written reports,
-so the effect of the machine-speed normalisation can be seen side by
-side.  The last line is the summary as
-JSON.
+Runs ``run.py --trace 0`` once per seed, one process after another, and
+prints for every end-to-end metric its median and the distance between
+the first and third quartile as a share of the median
+(``statistics.quantiles(n=4)``).  It also prints the unnormalised round
+wall time and the unnormalised round and set-up CPU times read from the
+written reports, so the effect of the machine-speed normalisation can be
+seen side by side.  The last line is the summary as JSON.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", default="1-10", help="e.g. 1-10 or 3,5,8")
     p.add_argument("--seconds", type=float, required=True)
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
     values: dict[str, list[float]] = {}
@@ -55,7 +53,7 @@ def main(argv=None) -> int:
     walls = []
     for seed in seed_list(args.seeds):
         cmd = [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed", str(seed),
-               "--seconds", str(args.seconds), "--trace", str(args.trace)]
+               "--seconds", str(args.seconds), "--trace", "0"]
         start = time.perf_counter()
         proc = subprocess.run(cmd, cwd=HERE.parent, capture_output=True, text=True, timeout=900)
         walls.append(time.perf_counter() - start)
@@ -69,13 +67,12 @@ def main(argv=None) -> int:
         for name, m in result["metrics"].items():
             values.setdefault(name, []).append(m["value"])
             units[name] = m["unit"]
-        if not args.trace:
-            report = json.loads((HERE / "out" / ("%s-seed%d-trace0.json" % (args.workload, seed))).read_text())
-            for name, value in (("wall_round_s", report["summary"]["round_wall_median_s"]),
-                                ("cpu_round_s", report["summary"]["round_raw_median_s"]),
-                                ("cpu_setup_s", report["setup"]["raw_s"])):
-                values.setdefault(name, []).append(value)
-                units[name] = "s"
+        report = json.loads((HERE / "out" / ("%s-seed%d-trace0.json" % (args.workload, seed))).read_text())
+        for name, value in (("wall_round_s", report["summary"]["round_wall_median_s"]),
+                            ("cpu_round_s", report["summary"]["round_raw_median_s"]),
+                            ("cpu_setup_s", report["setup"]["raw_s"])):
+            values.setdefault(name, []).append(value)
+            units[name] = "s"
         print("seed %d: %s" % (seed, " ".join("%s=%.4g" % (k, v[-1]) for k, v in values.items())), flush=True)
 
     summary = {"workload": args.workload, "seeds": args.seeds, "seconds": args.seconds,

@@ -3,8 +3,8 @@
 Wrappers are installed on the public functions and methods of each
 torickit layer module, on the module attributes and on every binding
 that another module made with ``from ... import``.  A wrapper counts
-calls and measures self time: its span minus the spans of the wrapped
-calls it made.  A few wrappers also record sizes (terms multiplied,
+calls and measures self time: its span in CPU time of the thread minus
+the spans of the wrapped calls it made.  A few wrappers also record sizes (terms multiplied,
 quotient terms, denominator terms).  Nothing inside the program changes,
 and ``uninstall`` restores every binding.
 """
@@ -90,14 +90,32 @@ def _targets():
     return out
 
 
+def _program_modules():
+    """Every imported torickit module."""
+    return [mod for name, mod in list(sys.modules.items())
+            if mod is not None and (name == "torickit" or name.startswith("torickit."))]
+
+
+def _is_wrapper(obj) -> bool:
+    if isinstance(obj, (staticmethod, classmethod)):
+        obj = obj.__func__
+    return getattr(obj, MARK, None) is True
+
+
 def installed_wrappers() -> list[str]:
-    """Names of every traced attribute that currently holds a wrapper."""
+    """Names of every binding that holds a wrapper: in any torickit module,
+    and in any class that one of them binds."""
     found = []
-    for key, _fn, owner, attr, _static in _targets():
-        raw = vars(owner)[attr]
-        fn = raw.__func__ if isinstance(raw, staticmethod) else raw
-        if getattr(fn, MARK, False):
-            found.append(key)
+    classes = {}
+    for mod in _program_modules():
+        for name, obj in vars(mod).items():
+            if _is_wrapper(obj):
+                found.append("%s.%s" % (mod.__name__, name))
+            elif isinstance(obj, type):
+                classes[id(obj)] = obj
+    for cls in classes.values():
+        found += ["%s.%s.%s" % (cls.__module__, cls.__qualname__, attr)
+                  for attr, raw in vars(cls).items() if _is_wrapper(raw)]
     return found
 
 
@@ -126,9 +144,7 @@ class Tracer:
             self._patch(owner, attr, staticmethod(wrapper) if static else wrapper)
         # bindings made by `from ... import` in any torickit module; the
         # benchmark itself calls through module attributes
-        for mod_name, mod in list(sys.modules.items()):
-            if mod is None or not (mod_name == "torickit" or mod_name.startswith("torickit.")):
-                continue
+        for mod in _program_modules():
             for name, obj in list(vars(mod).items()):
                 hit = by_id.get(id(obj))
                 if hit is not None and hit[0] is obj:
@@ -146,7 +162,7 @@ class Tracer:
 
     def _wrap(self, fn, rec: Record, hook):
         stack = self._stack
-        clock = time.perf_counter
+        clock = time.thread_time  # CPU time, like the yardstick: a deschedule is not booked
         counters = self.counters
 
         def wrapper(*args, **kwargs):

@@ -115,7 +115,7 @@ class Yardstick:
     def time(self, fn) -> dict:
         """Call ``fn()``; return its result with the operation's own CPU
         time (``raw_s``), its own wall time without the slices (``wall_s``),
-        the wall time with them (``span_s``), the reference's seconds per
+        the CPU time with them (``span_s``), the reference's seconds per
         unit and the normalised time (``norm_s``)."""
         self._units, self._ref_s = 0, 0.0
         previous = signal.signal(signal.SIGPROF, self._slice)
@@ -131,7 +131,7 @@ class Yardstick:
             signal.signal(signal.SIGPROF, previous)
         slices = self._ref_s
         out = self._normalise(cpu - slices)
-        out.update(result=result, wall_s=wall - slices, span_s=wall)
+        out.update(result=result, wall_s=wall - slices, span_s=cpu)
         return out
 
     def after(self, raw_s: float) -> dict:
