@@ -1,8 +1,9 @@
 """Command-line front end.
 
 One subcommand per top-level operation; exit code 0 on success or a
-passing check, 1 when a check fails, 2 on malformed input.  Reports are
-human text by default and JSON with --json.
+passing check, 1 when a check fails, 2 on malformed input, which includes
+a stability condition on a wall and a pair of conditions not separated by
+exactly one wall.  Reports are human text by default and JSON with --json.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, NotAdjacentError, OnWallError
 from .examples import catalog, get_example
 from .gitdata import GITData, anticones, fixed_points, minimal_anticones, validate
 from .localization import EquivClass, euler_characteristic, fixed_point_data, hrr_check
@@ -22,7 +23,11 @@ from .wallcrossing import eta_invariants, extend, make_wall_crossing, partition_
 from .windows import Window, fm_euler_check, in_window, kn_strata, seven_loci, window_lift, window_weights
 
 def default_order() -> int:
-    return int(os.environ.get("TORICKIT_TRUNCATION", "6"))
+    text = os.environ.get("TORICKIT_TRUNCATION", "6")
+    try:
+        return int(text)
+    except ValueError:
+        raise InputError("TORICKIT_TRUNCATION must be an integer, got %r" % text) from None
 
 
 @dataclass
@@ -38,7 +43,6 @@ class JobSpec:
     order: int = 6
     window_base: int = 0
     as_json: bool = False
-    extras: dict = field(default_factory=dict)
 
 
 def _parse_vector(text: str):
@@ -262,6 +266,8 @@ def job_from_args(args) -> JobSpec:
     job.subtorus = subtorus
     if hasattr(args, "order"):
         job.order = args.order if args.order is not None else default_order()
+        if job.order < 0:
+            raise InputError("the expansion order must be nonnegative, got %d" % job.order)
     if hasattr(args, "window_base"):
         job.window_base = args.window_base
     if getattr(args, "class_spec", None) is not None:
@@ -288,7 +294,7 @@ def main(argv=None) -> int:
     try:
         job = job_from_args(args)
         return run(job)
-    except InputError as exc:
+    except (InputError, OnWallError, NotAdjacentError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

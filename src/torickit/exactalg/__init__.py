@@ -10,7 +10,7 @@ from .intlinalg import (
     rational_solve,
     smith_normal_form,
 )
-from .laurent import LaurentPoly, exp_add, exp_apply, exp_neg, exp_scale, exp_zero
+from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero
 from .lp import cone_contains, weights_convex
 from .ratchar import DenominatorCollapseError, Factor, RationalCharacter, rat_equal, specialize
 from .series import GradedSeries, Poly, RatFun, bernoulli, expand_rational, todd_coefficient
@@ -30,8 +30,6 @@ __all__ = [
     "expand_rational",
     "exp_add",
     "exp_apply",
-    "exp_neg",
-    "exp_scale",
     "exp_zero",
     "format_fraction",
     "nullspace_vector",

@@ -40,7 +40,8 @@ def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     for d in range(1, n):
         if n % d == 0:
             q, r = _poly_divmod(poly, list(cyclotomic_polynomial(d)))
-            assert not r, "cyclotomic division must be exact"
+            if r:
+                raise AssertionError("cyclotomic division must be exact")
             poly = q
     return tuple(poly)
 

@@ -52,14 +52,12 @@ class IntMatrix:
             tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in bt) for row in self.entries)
         )
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
         d = rational_det([[Fraction(x) for x in row] for row in self.entries])
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise AssertionError("determinant of an integer matrix must be an integer")
         return d.numerator
 
     def is_unimodular(self) -> bool:

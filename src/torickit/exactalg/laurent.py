@@ -20,12 +20,6 @@ def exp_zero(nvars: int) -> Exponent:
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
 
-def exp_neg(a: Exponent) -> Exponent:
-    return tuple(-x for x in a)
-
-def exp_scale(c, a: Exponent) -> Exponent:
-    return tuple(Fraction(c) * x for x in a)
-
 def exp_apply(matrix, a: Exponent) -> Exponent:
     """Substitute lambda = A.mu: exponent q becomes A^T q (rows of A indexed like q)."""
     if len(matrix) != len(a):
@@ -175,22 +169,34 @@ class LaurentPoly:
                 del terms[q2]
         return LaurentPoly(width, terms)
 
-    def divide_exact(self, den: "LaurentPoly", max_steps: int = 200000):
-        """Exact division: self == q * den, or None when not exactly divisible."""
+    def divide_exact(self, den: "LaurentPoly"):
+        """Exact division: self == q * den, or None when not exactly divisible.
+
+        Newton polytopes add under multiplication, so in each coordinate an
+        exponent of q lies in [min(self) - min(den), max(self) - max(den)].
+        Long division in lex order produces the terms of q from the top down,
+        so once a leading quotient monomial leaves that box there is no exact
+        quotient.  The leading monomial strictly decreases inside a finite
+        piece of a lattice, so the loop ends.
+        """
         self._check(den)
         if den.is_zero():
             raise ZeroDivisionError("division by zero Laurent polynomial")
+        if self.is_zero():
+            return LaurentPoly.zero(self.nvars)
+        box = [
+            (min(a) - min(b), max(a) - max(b))
+            for a, b in zip(zip(*self.terms), zip(*den.terms))
+        ]
         lead = max(den.terms)
         lead_c = den.terms[lead]
         rem = dict(self.terms)
         quot = {}
-        steps = 0
         while rem:
-            steps += 1
-            if steps > max_steps:
-                return None
             q = max(rem)
             mono = tuple(a - b for a, b in zip(q, lead))
+            if not all(lo <= x <= hi for x, (lo, hi) in zip(mono, box)):
+                return None
             coeff = rem[q] / lead_c
             quot[mono] = quot.get(mono, Cyc.rational(0)) + coeff
             for qd, cd in den.terms.items():

@@ -1,9 +1,12 @@
 """Exact rational linear programming and cone membership.
 
-A tiny dense simplex (Bland's rule, fractions throughout) decides the
-only questions the rest of the package asks: is a point a nonnegative,
-respectively strictly positive, combination of given generators, and
-does a finite weight set lie in some strictly convex cone.
+A tiny dense simplex (Bland's rule, fractions throughout) decides two
+questions: is a point a nonnegative, respectively strictly positive,
+combination of given generators, and does a finite weight set lie in some
+strictly convex cone.  Off the walls anticones and the wall test reduce to
+exact linear solves (see ``gitdata.anticones``), so the package asks the
+first question only for a stability condition on a wall, and the second
+for the convexity certificate of localization.
 """
 
 from __future__ import annotations

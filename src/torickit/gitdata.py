@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from .errors import InputError, OnWallError
 from .exactalg import (
-    IntMatrix,
     cone_contains,
     format_fraction,
     parse_fraction,
     primitive_integer_vector,
     rational_inverse,
     rational_rank,
+    rational_solve,
 )
 from .exactalg.lp import weights_convex  # noqa: F401  (re-exported API)
 
@@ -57,10 +57,6 @@ class GITData:
 
     def submatrix_columns(self, indices) -> list[tuple[int, ...]]:
         return [self.weights[i - 1] for i in sorted(indices)]
-
-    def weight_matrix(self) -> IntMatrix:
-        """The r x m matrix whose columns are the characters."""
-        return IntMatrix.from_rows(tuple(zip(*self.weights))) if self.r else IntMatrix.from_rows(())
 
     def with_omega(self, omega) -> "GITData":
         return GITData(self.r, self.m, self.weights, tuple(parse_fraction(x) for x in omega))
@@ -116,14 +112,7 @@ class SemistableLocus:
 
     def family(self):
         """Every anticone of the locus, reconstructed by enlargement."""
-        out = set()
-        universe = range(1, self.m + 1)
-        for size in range(self.m + 1):
-            for combo in itertools.combinations(universe, size):
-                s = frozenset(combo)
-                if self.member(s):
-                    out.add(s)
-        return sorted(out, key=_anticone_key)
+        return [s for s in _subsets(self.m) if self.member(s)]
 
     def to_json_list(self):
         return [sorted(i) for i in sorted(self.minimal, key=_anticone_key)]
@@ -154,14 +143,54 @@ def _anticone_key(s):
     return (len(s), tuple(sorted(s)))
 
 
+def _subsets(m: int):
+    """Every subset of {1..m}, by size and then lexicographically."""
+    for size in range(m + 1):
+        for combo in itertools.combinations(range(1, m + 1), size):
+            yield frozenset(combo)
+
+
+def _solutions(data: GITData, size: int):
+    """(tau, x) with D_tau x = omega, for the solvable subsets tau of a size.
+
+    The solve leaves non-pivot coordinates at 0, so on a dependent tau x is
+    the unique solution on an independent subset, and a singular r-subset
+    never gets x > 0.
+    """
+    for combo in itertools.combinations(range(1, data.m + 1), size):
+        x = rational_solve(data.submatrix_columns(combo), data.omega)
+        if x is not None:
+            yield frozenset(combo), x
+
+
+def _cells(data: GITData) -> list[Anticone]:
+    """The r-subsets sigma with D_sigma invertible and D_sigma^{-1} omega > 0."""
+    return [sigma for sigma, x in _solutions(data, data.r) if all(v > 0 for v in x)]
+
+
 def anticones(data: GITData) -> list[Anticone]:
-    """All subsets I with omega a strictly positive combination of {D_i : i in I}."""
-    out = []
-    for size in range(data.m + 1):
-        for combo in itertools.combinations(range(1, data.m + 1), size):
-            if cone_contains(data.submatrix_columns(combo), data.omega, strict=True):
-                out.append(frozenset(combo))
-    return out
+    """All subsets I with omega a strictly positive combination of {D_i : i in I}.
+
+    Off every wall, I is an anticone iff it contains a cell: an r-subset
+    sigma with D_sigma invertible and D_sigma^{-1} omega > 0.  If I
+    contains a cell, omega = D_sigma x with x > 0; with D_sigma y the sum
+    of the other D_j in I, omega = eps * (that sum) + D_sigma (x - eps*y)
+    has positive coefficients for small eps > 0.  Conversely, by
+    Caratheodory omega = sum a_i D_i over a linearly independent tau
+    inside I with a > 0 (drop zero coefficients); off the walls tau cannot
+    have fewer than r elements, so tau is a cell.  The family is thus the
+    upward closure of the C(m, r) cells, found by exact linear solves.
+
+    On a wall the rule fails (omega = 0 is a positive combination of all
+    four conifold characters but of no single one), and every subset is
+    decided by the simplex.
+    """
+    if is_on_wall(data):
+        return [
+            s for s in _subsets(data.m) if cone_contains(data.submatrix_columns(s), data.omega, strict=True)
+        ]
+    cells = _cells(data)
+    return [s for s in _subsets(data.m) if any(cell <= s for cell in cells)]
 
 
 @dataclass(frozen=True)
@@ -191,13 +220,18 @@ def validate(data: GITData) -> ValidationReport:
         (the quotient has finite stabilizers).
     """
     failures = []
+    if not is_on_wall(data):
+        # the anticones are the upward closure of the cells: the full index
+        # set is one iff a cell exists, and the minimal ones are cells, whose
+        # characters form a basis
+        if not _cells(data):
+            failures.append("the full index set is not an anticone")
+        return ValidationReport(not failures, True, tuple(failures))
     full = cone_contains(data.weights, data.omega, strict=True)
     if not full:
         failures.append("the full index set is not an anticone")
     spanning = True
-    fam = anticones(data)
-    minimal = _minimal_of(fam)
-    for delta in minimal:
+    for delta in _minimal_of(anticones(data)):
         if rational_rank(data.submatrix_columns(delta)) != data.r:
             spanning = False
             failures.append("anticone {%s} does not span" % ",".join(map(str, sorted(delta))))
@@ -214,22 +248,28 @@ def _minimal_of(family) -> list[Anticone]:
 
 
 def minimal_anticones(data: GITData) -> SemistableLocus:
-    """Minimal anticones; they cut out the semistable locus."""
-    return SemistableLocus(data.m, tuple(_minimal_of(anticones(data))))
+    """Minimal anticones; they cut out the semistable locus.  Off the walls
+    they are the cells."""
+    minimal = _minimal_of(anticones(data)) if is_on_wall(data) else _cells(data)
+    return SemistableLocus(data.m, tuple(minimal))
 
 
 def fixed_points(data: GITData) -> list[Anticone]:
-    """Anticones of size r; these index the torus-fixed points."""
-    return [a for a in anticones(data) if len(a) == data.r]
+    """Anticones of size r; these index the torus-fixed points.  Off the
+    walls they are the cells."""
+    if is_on_wall(data):
+        return [a for a in anticones(data) if len(a) == data.r]
+    return _cells(data)
 
 
 def is_on_wall(data: GITData) -> bool:
-    """Exact test: omega lies in the nonnegative span of < r characters."""
-    for size in range(data.r):
-        for combo in itertools.combinations(range(1, data.m + 1), size):
-            if cone_contains(data.submatrix_columns(combo), data.omega, strict=False):
-                return True
-    return False
+    """Exact test: omega lies in the nonnegative span of < r characters.
+
+    By Caratheodory that span is the union of the cones over the linearly
+    independent subsets, where the solve is unique; with r = 0 omega is off
+    every wall.
+    """
+    return any(all(v >= 0 for v in x) for size in range(data.r) for _, x in _solutions(data, size))
 
 
 def chamber_of(data: GITData) -> Chamber:
@@ -238,7 +278,7 @@ def chamber_of(data: GITData) -> Chamber:
     if is_on_wall(data):
         raise OnWallError("stability condition lies on a wall")
     normals = set()
-    for delta in fixed_points(data):
+    for delta in _cells(data):
         cols = data.submatrix_columns(delta)
         matrix = [[Fraction(cols[j][i]) for j in range(data.r)] for i in range(data.r)]
         inv = rational_inverse(matrix)
@@ -248,8 +288,9 @@ def chamber_of(data: GITData) -> Chamber:
 
 
 def same_chamber(data: GITData, other_omega) -> bool:
-    """Two stability conditions are in one chamber iff their anticone families agree."""
+    """Two stability conditions are in one chamber iff their anticone
+    families agree; off the walls, iff their cells agree."""
     other = data.with_omega(other_omega)
     if is_on_wall(data) or is_on_wall(other):
         return False
-    return anticones(data) == anticones(other)
+    return _cells(data) == _cells(other)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import ConvergenceError, InputError
 from .exactalg import (
@@ -186,16 +187,14 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
     delta = tuple(sorted(delta))
     if len(delta) != data.r:
         raise InputError("fixed points are anticones of size r")
-    from .exactalg.lp import cone_contains
-
-    if not cone_contains(data.submatrix_columns(delta), data.omega, strict=True):
-        raise InputError("{%s} is not an anticone for this stability condition" % ",".join(map(str, delta)))
     cols = data.submatrix_columns(delta)
     r = data.r
     dmat = IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
     det = dmat.det()
     if det == 0:
         raise InputError("delta-columns are degenerate")
+    if not all(x > 0 for x in rational_solve(cols, data.omega)):
+        raise InputError("{%s} is not an anticone for this stability condition" % ",".join(map(str, delta)))
     order = abs(det)
 
     # group elements: v in Q^r / Z^r with D_delta^T v integral, via Smith form
@@ -208,7 +207,8 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
             sum(Fraction(v[(i, k)]) * y[k] for k in range(r)) % 1 for i in range(r)
         )
         elements.add(vec)
-    assert len(elements) == order, "isotropy enumeration does not match the determinant"
+    if len(elements) != order:
+        raise AssertionError("isotropy enumeration does not match the determinant")
     elements = tuple(sorted(elements))
 
     tangent = tuple(j for j in range(1, data.m + 1) if j not in delta)
@@ -216,7 +216,8 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
     weights = {}
     for j in tangent:
         c = rational_solve(cols, data.character(j))
-        assert c is not None, "delta-columns span by the validity assumption"
+        if c is None:
+            raise AssertionError("delta-columns span by the validity assumption")
         coeffs[j] = tuple(c)
         w = [Fraction(0)] * data.m
         w[j - 1] = Fraction(1)
@@ -321,7 +322,7 @@ def _collapsed_terms(fp: FixedPointData, E: EquivClass):
         mj = 1
         for gi in range(fp.group_order):
             theta = fp.eigen_angles[gi][j_idx]
-            mj = mj * theta.denominator // _gcd(mj, theta.denominator)
+            mj = mj * theta.denominator // gcd(mj, theta.denominator)
         orders[j] = mj
     numerator = LaurentPoly.zero(m)
     for gi in range(fp.group_order):
@@ -338,19 +339,14 @@ def _collapsed_terms(fp: FixedPointData, E: EquivClass):
                 part = part * Factor(other, w).as_poly(m)
         numerator = numerator + part
     numerator = numerator * Fraction(1, fp.group_order)
-    assert numerator.all_rational(), "isotropy average must have rational coefficients"
+    if not numerator.all_rational():
+        raise AssertionError("isotropy average must have rational coefficients")
     factors = []
     for j in fp.tangent_indices:
         w = fp.tangent_weights[j]
         mj = orders[j]
         factors.extend([Factor(Cyc.rational(1), tuple(mj * x for x in w))] * (fp.group_order // mj))
     return [(numerator, factors)]
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def sections_character(data: GITData, u, bound: int) -> LaurentPoly:

@@ -37,9 +37,6 @@ class KNStratum:
     ambient: SemistableLocus  # the open set the stratum lives in
     eta: int
 
-    def weight(self, E: EquivClass) -> list[int]:
-        return window_weights(E, self)
-
 
 @dataclass(frozen=True)
 class Window:
@@ -70,7 +67,8 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
     def build(lam, blade):
         normal = every - blade
         eta = sum(sum(a * b for a, b in zip(wc.base.character(i), lam)) for i in normal)
-        assert eta >= 0, "blade normal weights must be nonnegative"
+        if eta < 0:
+            raise AssertionError("blade normal weights must be nonnegative")
         return KNStratum(tuple(lam), frozenset(m_zero), frozenset(blade), ambient, eta)
 
     stratum_plus = build(wc.e, m_zero | m_minus)

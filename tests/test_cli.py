@@ -143,3 +143,25 @@ def test_equivclass_json_round_trip():
     cls = EquivClass.line(1, 4, (1,), (0, 1, 0, 0), 2) - EquivClass.line(1, 4, (0,))
     again = EquivClass.from_json_list(1, 4, cls.to_json_list())
     assert again == cls
+
+
+def test_on_wall_omega_exits_2(capsys):
+    code, _, err = run_cli(capsys, "wallcross", "--example", "conifold", "--omega-plus", "0", "--omega-minus", "-1")
+    assert code == 2 and err.startswith("input error:") and "wall" in err
+
+
+def test_same_chamber_pair_exits_2(capsys):
+    code, _, err = run_cli(capsys, "fm-check", "--example", "kp2", "--omega-plus", "1", "--omega-minus", "5/2",
+                           "--L", "O(1)", "--M", "O(0)")
+    assert code == 2 and err.startswith("input error:") and "same chamber" in err
+
+
+def test_non_integer_truncation_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("TORICKIT_TRUNCATION", "abc")
+    code, out, err = run_cli(capsys, "hrr-check", "--example", "c2-diagonal")
+    assert code == 2 and out == "" and err.startswith("input error:") and "TORICKIT_TRUNCATION" in err
+
+
+def test_negative_order_exits_2(capsys):
+    code, out, err = run_cli(capsys, "hrr-check", "--example", "c2-diagonal", "--order", "-3")
+    assert code == 2 and "MATCH" not in out and err.startswith("input error:")

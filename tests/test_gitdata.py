@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from torickit.errors import InputError, OnWallError
+from torickit.exactalg import cone_contains
+from torickit.examples import get_example
 from torickit.gitdata import (
     GITData,
     anticones,
@@ -17,6 +19,7 @@ from torickit.gitdata import (
     validate,
     weights_convex,
 )
+from torickit.wallcrossing import make_wall_crossing
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])
 P12 = GITData.make(1, [(1,), (2,)], ["1"])
@@ -161,3 +164,85 @@ def test_shape_validation():
         GITData.make(2, [(1,)], ["1", "0"])
     with pytest.raises(InputError):
         GITData.make(1, [(1,), (1,)], ["1", "2"])
+
+
+# -- differential tests against the simplex on every subset ---------------------
+
+
+def _subsets(m, sizes):
+    return [frozenset(c) for size in sizes for c in itertools.combinations(range(1, m + 1), size)]
+
+
+def _lp_anticones(data):
+    return [
+        s for s in _subsets(data.m, range(data.m + 1))
+        if cone_contains(data.submatrix_columns(s), data.omega, strict=True)
+    ]
+
+
+def _lp_on_wall(data):
+    return any(
+        cone_contains(data.submatrix_columns(s), data.omega, strict=False)
+        for s in _subsets(data.m, range(data.r))
+    )
+
+
+def _random_data(rng):
+    r = rng.randint(0, 3)
+    m = rng.randint(max(r, 1), 7)
+    weights = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(m)]
+    omega = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(r)]
+    return GITData.make(r, weights, omega)
+
+
+def test_anticones_match_simplex_on_random_data():
+    rng = random.Random(2024)
+    off_wall = nonempty = on_wall = 0
+    while off_wall < 150:
+        data = _random_data(rng)
+        wall = _lp_on_wall(data)
+        assert is_on_wall(data) == wall, data
+        if wall:
+            on_wall += 1
+            continue
+        fam = _lp_anticones(data)
+        assert anticones(data) == fam, data
+        assert fixed_points(data) == [s for s in fam if len(s) == data.r], data
+        minimal = [s for s in fam if not any(t < s for t in fam)]
+        assert list(minimal_anticones(data).minimal) == minimal, data
+        full = cone_contains(data.weights, data.omega, strict=True)
+        assert validate(data).passed == full, data
+        off_wall += 1
+        nonempty += bool(fam)
+    # the draw must exercise both sides of the rule and both wall answers
+    assert nonempty >= 50 and off_wall - nonempty >= 20 and on_wall >= 10
+
+
+def test_is_on_wall_matches_simplex_on_walls():
+    kp2 = get_example("kp2").data
+    rank2 = GITData.make(2, [(1, -1), (1, -1), (-1, 0), (-1, 0), (0, 1)], ["1", "1"])
+    on_wall = [
+        CONIFOLD.with_omega(["0"]),
+        GITData.make(2, [(1, 0), (0, 1), (1, 1)], ["0", "0"]),
+        CONIFOLD.with_omega(make_wall_crossing(CONIFOLD, ["1"], ["-1"]).omega_zero),
+        kp2.with_omega(make_wall_crossing(kp2, ["1"], ["-1"]).omega_zero),
+        rank2.with_omega(make_wall_crossing(rank2, ["1", "1"], ["-1", "1"]).omega_zero),
+        # on the ray of one character, a wall of dimension r - 1 = 1
+        GITData.make(2, [(1, 2), (1, 0), (0, 1), (-1, 1)], ["2", "4"]),
+        # in the cone of two characters, a wall of dimension r - 1 = 2
+        GITData.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], ["1", "1/2", "0"]),
+    ]
+    for data in on_wall:
+        assert _lp_on_wall(data) and is_on_wall(data), data
+        assert anticones(data) == _lp_anticones(data), data
+    for data in (CONIFOLD, kp2, rank2, P12, C2):
+        assert not _lp_on_wall(data) and not is_on_wall(data), data
+
+
+def test_rank_zero_every_subset_is_an_anticone():
+    for m in range(4):
+        data = GITData.make(0, [()] * m, [])
+        assert not is_on_wall(data)
+        assert anticones(data) == _lp_anticones(data) == _subsets(m, range(m + 1))
+        assert fixed_points(data) == [frozenset()]
+        assert validate(data).passed

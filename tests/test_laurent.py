@@ -44,7 +44,29 @@ def test_divide_exact():
     q = num.divide_exact(LaurentPoly.one(1) - x)
     assert q == LaurentPoly.one(1) + x
     # (1 - x^2)/(1 - x^3) is not a Laurent polynomial
-    assert num.divide_exact(LaurentPoly.one(1) - mono((3,)), max_steps=500) is None
+    assert num.divide_exact(LaurentPoly.one(1) - mono((3,))) is None
+
+
+def test_divide_exact_recovers_random_quotients():
+    import random
+
+    rng = random.Random(5)
+    half = Fraction(1, 2)
+
+    def rand_poly():
+        return sum(
+            (mono((rng.randint(-3, 3) * half, rng.randint(-2, 2)), rng.randint(-3, 3)) for _ in range(4)),
+            LaurentPoly.zero(2),
+        )
+
+    for _ in range(20):
+        a, b = rand_poly(), rand_poly()
+        if b.is_zero():
+            continue
+        assert (a * b).divide_exact(b) == a
+        # a monomial is a multiple only of units, the one-term polynomials
+        if len(b.terms) > 1:
+            assert (a * b + mono((9, 9))).divide_exact(b) is None
 
 
 def test_divide_exact_laurent_quotient():
