@@ -3,7 +3,8 @@
 One subcommand per top-level operation; exit code 0 on success or a
 passing check, 1 when a check fails, 2 on malformed input, which includes
 a stability condition on a wall and a pair of conditions not separated by
-exactly one wall.  Reports are human text by default and JSON with --json.
+exactly one wall, and 3 when an internal invariant fails.  Reports are
+human text by default and JSON with --json.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotAdjacentError, OnWallError
 from .examples import catalog, get_example
-from .gitdata import GITData, anticones, fixed_points, minimal_anticones, validate
+from .gitdata import GITData, anticones, fixed_points, minimal_anticones, require_valid, validate
 from .localization import EquivClass, euler_characteristic, fixed_point_data, hrr_check
 from .wallcrossing import eta_invariants, extend, make_wall_crossing, partition_M
 from .windows import Window, fm_euler_check, in_window, kn_strata, seven_loci, window_lift, window_weights
@@ -131,6 +132,7 @@ def run(job: JobSpec) -> int:
         return 0
 
     if job.command == "fixed-points":
+        require_valid(data)
         pts = sorted(fixed_points(data), key=lambda s: tuple(sorted(s)))
         rows = []
         for delta in pts:
@@ -300,6 +302,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print("internal error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -3,10 +3,12 @@
 A tiny dense simplex (Bland's rule, fractions throughout) decides two
 questions: is a point a nonnegative, respectively strictly positive,
 combination of given generators, and does a finite weight set lie in some
-strictly convex cone.  Off the walls anticones and the wall test reduce to
-exact linear solves (see ``gitdata.anticones``), so the package asks the
-first question only for a stability condition on a wall, and the second
-for the convexity certificate of localization.
+strictly convex cone.  The minimal anticones are the wall cells, found by
+exact linear solves on a wall or off it (see ``gitdata.anticones``), so
+the package asks the first question only to list the anticones at a
+stability condition on a wall (that family is not upward closed) and to
+test the full index set there in ``validate``, and the second for the
+convexity certificate of localization.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from .exactalg import (
     parse_fraction,
     primitive_integer_vector,
     rational_inverse,
-    rational_rank,
     rational_solve,
 )
 from .exactalg.lp import weights_convex  # noqa: F401  (re-exported API)
@@ -105,6 +104,13 @@ class SemistableLocus:
     m: int
     minimal: tuple[Anticone, ...]
 
+    @staticmethod
+    def generated_by(m: int, generators) -> "SemistableLocus":
+        """The upward closure of a family of supports, by its minimal members."""
+        gens = set(generators)
+        minimal = [s for s in gens if not any(t < s for t in gens)]
+        return SemistableLocus(m, tuple(sorted(minimal, key=_anticone_key)))
+
     def member(self, support) -> bool:
         """Is the stratum with the given nonzero-coordinate set kept?"""
         support = frozenset(support)
@@ -163,34 +169,41 @@ def _solutions(data: GITData, size: int):
             yield frozenset(combo), x
 
 
-def _cells(data: GITData) -> list[Anticone]:
-    """The r-subsets sigma with D_sigma invertible and D_sigma^{-1} omega > 0."""
-    return [sigma for sigma, x in _solutions(data, data.r) if all(v > 0 for v in x)]
+def _wall_cells(data: GITData, max_size=None) -> list[Anticone]:
+    """The tau with |tau| <= max_size (default r) and D_tau^{-1} omega > 0.
+
+    ``_solutions`` leaves a zero coordinate on a dependent tau, so each wall
+    cell is linearly independent; tau is empty exactly when omega = 0.  The
+    list comes by size and then lexicographically.
+    """
+    size_cap = data.r if max_size is None else max_size
+    return [tau for size in range(size_cap + 1) for tau, x in _solutions(data, size) if all(v > 0 for v in x)]
 
 
 def anticones(data: GITData) -> list[Anticone]:
     """All subsets I with omega a strictly positive combination of {D_i : i in I}.
 
-    Off every wall, I is an anticone iff it contains a cell: an r-subset
-    sigma with D_sigma invertible and D_sigma^{-1} omega > 0.  If I
-    contains a cell, omega = D_sigma x with x > 0; with D_sigma y the sum
-    of the other D_j in I, omega = eps * (that sum) + D_sigma (x - eps*y)
-    has positive coefficients for small eps > 0.  Conversely, by
-    Caratheodory omega = sum a_i D_i over a linearly independent tau
-    inside I with a > 0 (drop zero coefficients); off the walls tau cannot
-    have fewer than r elements, so tau is a cell.  The family is thus the
-    upward closure of the C(m, r) cells, found by exact linear solves.
+    The inclusion-minimal anticones are the wall cells (``_wall_cells``), on
+    a wall or off it.  A minimal I has no kernel vector: moving along one
+    would zero a coefficient and give a smaller anticone.  A proper
+    sub-solution of a wall cell would break the uniqueness of its solve.
 
-    On a wall the rule fails (omega = 0 is a positive combination of all
-    four conifold characters but of no single one), and every subset is
-    decided by the simplex.
+    Off every wall the wall cells are r-subsets, and the family is their
+    upward closure: if I contains a cell sigma, omega = D_sigma x with
+    x > 0, and adding eps times the other D_j of I, with D_sigma y their
+    sum, gives omega = eps * (that sum) + D_sigma (x - eps*y), positive for
+    small eps > 0.
+
+    On a wall the family is not upward closed (omega = 0 is a positive
+    combination of all four conifold characters but of no single one), so
+    listing it is one of the three uses of the simplex left in the package,
+    with the on-wall full-set test of ``validate`` and ``weights_convex``.
     """
     if is_on_wall(data):
         return [
             s for s in _subsets(data.m) if cone_contains(data.submatrix_columns(s), data.omega, strict=True)
         ]
-    cells = _cells(data)
-    return [s for s in _subsets(data.m) if any(cell <= s for cell in cells)]
+    return minimal_anticones(data).family()
 
 
 @dataclass(frozen=True)
@@ -218,67 +231,56 @@ def validate(data: GITData) -> ValidationReport:
     (a) the full index set is an anticone (the quotient is nonempty);
     (b) the characters of every anticone span the ambient rational space
         (the quotient has finite stabilizers).
+
+    The minimal anticones are the wall cells, which are linearly
+    independent, so (b) fails exactly at the wall cells of size < r, that
+    is on a wall.  Off the walls (a) holds iff some cell exists; on a wall
+    it is decided by the simplex.
     """
-    failures = []
-    if not is_on_wall(data):
-        # the anticones are the upward closure of the cells: the full index
-        # set is one iff a cell exists, and the minimal ones are cells, whose
-        # characters form a basis
-        if not _cells(data):
-            failures.append("the full index set is not an anticone")
-        return ValidationReport(not failures, True, tuple(failures))
-    full = cone_contains(data.weights, data.omega, strict=True)
-    if not full:
-        failures.append("the full index set is not an anticone")
-    spanning = True
-    for delta in _minimal_of(anticones(data)):
-        if rational_rank(data.submatrix_columns(delta)) != data.r:
-            spanning = False
-            failures.append("anticone {%s} does not span" % ",".join(map(str, sorted(delta))))
-    return ValidationReport(full, spanning, tuple(failures))
+    cells = _wall_cells(data)
+    thin = [tau for tau in cells if len(tau) < data.r]
+    full = cone_contains(data.weights, data.omega, strict=True) if thin else bool(cells)
+    failures = [] if full else ["the full index set is not an anticone"]
+    failures += ["anticone {%s} does not span" % ",".join(map(str, sorted(tau))) for tau in thin]
+    return ValidationReport(full, not thin, tuple(failures))
 
 
-def _minimal_of(family) -> list[Anticone]:
-    fam = set(family)
-    out = []
-    for s in fam:
-        if not any(frozenset(s - {i}) in fam for i in s):
-            out.append(s)
-    return sorted(out, key=_anticone_key)
+def require_valid(data: GITData) -> None:
+    """Raise an input error naming the failures when the data is inadmissible."""
+    report = validate(data)
+    if not report.passed:
+        raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
 
 
 def minimal_anticones(data: GITData) -> SemistableLocus:
-    """Minimal anticones; they cut out the semistable locus.  Off the walls
-    they are the cells."""
-    minimal = _minimal_of(anticones(data)) if is_on_wall(data) else _cells(data)
-    return SemistableLocus(data.m, tuple(minimal))
+    """Minimal anticones, which cut out the semistable locus: the wall cells
+    (see ``anticones``), on a wall or off it."""
+    return SemistableLocus(data.m, tuple(_wall_cells(data)))
 
 
 def fixed_points(data: GITData) -> list[Anticone]:
-    """Anticones of size r; these index the torus-fixed points.  Off the
-    walls they are the cells."""
-    if is_on_wall(data):
-        return [a for a in anticones(data) if len(a) == data.r]
-    return _cells(data)
+    """Anticones of size r, which index the torus-fixed points: off the
+    walls, the wall cells.  On a wall there is no orbifold quotient to
+    localize on, and the call raises ``OnWallError``."""
+    cells = _wall_cells(data)
+    if any(len(tau) < data.r for tau in cells):
+        raise OnWallError("stability condition lies on a wall")
+    return cells
 
 
 def is_on_wall(data: GITData) -> bool:
-    """Exact test: omega lies in the nonnegative span of < r characters.
-
-    By Caratheodory that span is the union of the cones over the linearly
-    independent subsets, where the solve is unique; with r = 0 omega is off
-    every wall.
-    """
-    return any(all(v >= 0 for v in x) for size in range(data.r) for _, x in _solutions(data, size))
+    """Exact test: omega lies in the nonnegative span of < r characters,
+    that is some wall cell has fewer than r elements (drop the zero
+    coefficients and, by Caratheodory, the dependent characters).  With
+    r = 0 omega is off every wall."""
+    return bool(_wall_cells(data, data.r - 1))
 
 
 def chamber_of(data: GITData) -> Chamber:
     """The chamber containing omega, as the strict inequalities of the
     simplicial cones attached to the minimal anticones."""
-    if is_on_wall(data):
-        raise OnWallError("stability condition lies on a wall")
     normals = set()
-    for delta in _cells(data):
+    for delta in fixed_points(data):
         cols = data.submatrix_columns(delta)
         matrix = [[Fraction(cols[j][i]) for j in range(data.r)] for i in range(data.r)]
         inv = rational_inverse(matrix)
@@ -293,4 +295,4 @@ def same_chamber(data: GITData, other_omega) -> bool:
     other = data.with_omega(other_omega)
     if is_on_wall(data) or is_on_wall(other):
         return False
-    return _cells(data) == _cells(other)
+    return _wall_cells(data) == _wall_cells(other)

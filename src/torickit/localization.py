@@ -37,7 +37,7 @@ from .exactalg.series import (
     todd_tseries,
     tseries_mul,
 )
-from .gitdata import GITData, fixed_points, validate
+from .gitdata import GITData, fixed_points, require_valid
 
 
 class EquivClass:
@@ -288,9 +288,7 @@ def euler_characteristic(
     if E.r != data.r or E.m != data.m:
         raise InputError("class shape does not match the GIT data")
     if check:
-        report = validate(data)
-        if not report.passed:
-            raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
+        require_valid(data)
     fps = _all_fixed_point_data(data)
     if certify:
         _certificate(fps, subtorus)
@@ -390,9 +388,7 @@ def hrr_rhs(
     if E.r != data.r or E.m != data.m:
         raise InputError("class shape does not match the GIT data")
     if check:
-        report = validate(data)
-        if not report.passed:
-            raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
+        require_valid(data)
     fps = _all_fixed_point_data(data)
     if certify:
         _certificate(fps, subtorus)

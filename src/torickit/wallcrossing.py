@@ -15,7 +15,7 @@ from .exactalg import (
     primitive_integer_vector,
     rational_rank,
 )
-from .gitdata import Chamber, GITData, anticones, chamber_of, is_on_wall, validate
+from .gitdata import Chamber, GITData, chamber_of, is_on_wall, minimal_anticones, validate
 from .localization import EquivClass
 
 
@@ -95,8 +95,7 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
         rep = validate(data)
         if not rep.passed:
             raise InputError("omega_%s is not admissible: %s" % (side, "; ".join(rep.failures)))
-    fam_p, fam_m = anticones(data_p), anticones(data_m)
-    if fam_p == fam_m:
+    if minimal_anticones(data_p) == minimal_anticones(data_m):
         raise NotAdjacentError("the two stability conditions lie in the same chamber")
 
     def point(t: Fraction):
@@ -117,7 +116,7 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
     for idx, t in enumerate(times):
         left = (gaps[idx] + t) / 2
         right = (t + gaps[idx + 2]) / 2
-        if anticones(base.with_omega(point(left))) != anticones(base.with_omega(point(right))):
+        if minimal_anticones(base.with_omega(point(left))) != minimal_anticones(base.with_omega(point(right))):
             real.append(t)
     if len(real) != 1:
         raise NotAdjacentError("segment crosses %d walls; compose single crossings" % len(real))
@@ -232,12 +231,27 @@ def _verify_contraction(ext: ExtendedGIT, side: str):
             raise AssertionError("contraction %s is not equivariant at coordinate %d" % (side, j))
 
 
-def extend(wc: WallCrossing, epsilon=Fraction(1, 1000)) -> ExtendedGIT:
+def _resolution_offset(data: GITData, omega_zero) -> Fraction:
+    """Half the first t > 0 at which the ray (omega_zero, -t) meets a
+    hyperplane spanned by r characters of the extended data, capped at
+    1/1000.  Every wall lies in such a hyperplane, so the ray stays in one
+    chamber before it; a hyperplane that contains the whole ray (normal
+    ending in 0) never separates its points."""
+    offset = Fraction(1, 1000)
+    for n in _candidate_normals(data):
+        if n[-1]:
+            t = sum(Fraction(a) * b for a, b in zip(n, omega_zero)) / n[-1]
+            if t > 0:
+                offset = min(offset, t / 2)
+    return offset
+
+
+def extend(wc: WallCrossing) -> ExtendedGIT:
     """Extended GIT data with the three chambers around the wall.
 
     The extra gauge direction records the positive pairing of each
-    character; the resolution chamber sits just below the wall, with the
-    offset halved until the anticone family stabilizes.
+    character; the resolution chamber sits just below the wall, before the
+    first hyperplane the ray from the wall point meets.
     """
     base = wc.base
     weights = []
@@ -248,22 +262,12 @@ def extend(wc: WallCrossing, epsilon=Fraction(1, 1000)) -> ExtendedGIT:
     omega_p = wc.omega_plus + (Fraction(1),)
     omega_m = wc.omega_minus + (Fraction(1),)
 
-    epsilon = parse_fraction(epsilon)
-    if epsilon <= 0:
-        raise InputError("epsilon must be positive")
-    for _ in range(64):
-        omega_t = wc.omega_zero + (-epsilon,)
-        data_t = GITData.make(base.r + 1, weights, omega_t)
-        half = wc.omega_zero + (-epsilon / 2,)
-        if (
-            validate(data_t).passed
-            and not is_on_wall(data_t)
-            and anticones(data_t) == anticones(data_t.with_omega(half))
-        ):
-            break
-        epsilon /= 2
-    else:
-        raise InputError("could not stabilize the resolution chamber offset")
+    data = GITData.make(base.r + 1, weights, omega_p)
+    omega_t = wc.omega_zero + (-_resolution_offset(data, wc.omega_zero),)
+    data_t = data.with_omega(omega_t)
+    report = validate(data_t)  # on a wall a wall cell of size <= r fails to span
+    if not report.passed:
+        raise InputError("the resolution chamber is not admissible: %s" % "; ".join(report.failures))
 
     ext = ExtendedGIT(
         wc,
@@ -271,8 +275,8 @@ def extend(wc: WallCrossing, epsilon=Fraction(1, 1000)) -> ExtendedGIT:
         omega_p,
         omega_m,
         omega_t,
-        chamber_of(data_t.with_omega(omega_p)),
-        chamber_of(data_t.with_omega(omega_m)),
+        chamber_of(data),
+        chamber_of(data.with_omega(omega_m)),
         chamber_of(data_t),
     )
     _verify_contraction(ext, "+")
@@ -284,24 +288,15 @@ def extend(wc: WallCrossing, epsilon=Fraction(1, 1000)) -> ExtendedGIT:
 def _verify_reductions(ext: ExtendedGIT):
     """At the side stability conditions every anticone contains the extra
     index, and deleting it recovers the base semistable loci."""
-    from .gitdata import minimal_anticones
-
     m1 = ext.wc.base.m + 1
     for side_data, base_data in (
         (ext.data_plus, ext.wc.data_plus),
         (ext.data_minus, ext.wc.data_minus),
     ):
-        fam = anticones(side_data)
-        if any(m1 not in a for a in fam):
+        minimal = minimal_anticones(side_data).minimal
+        if any(m1 not in a for a in minimal):
             raise AssertionError("an anticone at a side stability misses the extra index")
-        reduced = sorted(
-            {frozenset(a - {m1}) for a in minimal_anticones(side_data).minimal},
-            key=lambda s: (len(s), tuple(sorted(s))),
-        )
-        expected = sorted(
-            minimal_anticones(base_data).minimal, key=lambda s: (len(s), tuple(sorted(s)))
-        )
-        if reduced != expected:
+        if {a - {m1} for a in minimal} != set(minimal_anticones(base_data).minimal):
             raise AssertionError("side chamber does not reduce to the base quotient")
 
 

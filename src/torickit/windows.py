@@ -10,12 +10,11 @@ computed by localization on the resolution and on one side.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NonCrepantError, WindowLiftError
 from .exactalg import RationalCharacter, rat_equal
-from .gitdata import GITData, SemistableLocus, anticones
+from .gitdata import GITData, SemistableLocus, minimal_anticones
 from .localization import EquivClass, euler_characteristic, restrict, _all_fixed_point_data
 from .wallcrossing import (
     ExtendedGIT,
@@ -61,7 +60,7 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
     the blade along the fixed locus; positivity is automatic.
     """
     m_plus, m_zero, m_minus = partition_M(wc)
-    ambient = _upward_minimal(wc.base.m, anticones(wc.base.with_omega(wc.omega_zero)))
+    ambient = minimal_anticones(wc.base.with_omega(wc.omega_zero))
     every = frozenset(range(1, wc.base.m + 1))
 
     def build(lam, blade):
@@ -74,13 +73,6 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
     stratum_plus = build(wc.e, m_zero | m_minus)
     stratum_minus = build(tuple(-x for x in wc.e), m_zero | m_plus)
     return stratum_plus, stratum_minus
-
-
-def _upward_minimal(m: int, family) -> SemistableLocus:
-    """Minimal generators of the upward closure of an arbitrary family."""
-    fam = set(family)
-    minimal = [s for s in fam if not any(t < s for t in fam)]
-    return SemistableLocus(m, tuple(sorted(minimal, key=lambda s: (len(s), tuple(sorted(s))))))
 
 
 def window_weights(E: EquivClass, stratum: KNStratum) -> list[int]:
@@ -127,38 +119,32 @@ class SevenLoci:
 
 
 def seven_loci(ext: ExtendedGIT) -> SevenLoci:
-    """The seven semistable loci: the deepest one from the union formula over
-    the wall anticones, the three chamber loci from their stability
-    conditions, and the three wall loci as set differences."""
+    """The seven semistable loci, each by its minimal supports in {1..m+1}.
+
+    The deepest one is generated by the wall cells c at omega_zero inside
+    M_0 and by every c + {m+1}.  Each other locus cuts it by an upward-closed
+    condition, so it is generated by the unions g + h of a generator g of
+    the deepest locus with a generator h of the condition: {m+1}, {i} for i
+    in M_+ or in M_-, {m+1, i}, or {i, j} with i in M_+ and j in M_-.
+    """
     wc = ext.wc
     m = wc.base.m
     m_plus, m_zero, m_minus = partition_M(wc)
-    fam0 = set(anticones(wc.base.with_omega(wc.omega_zero)))
-
-    def v0_member(support: frozenset) -> bool:
-        j = support - {m + 1}
-        if any(i <= j for i in fam0 if i <= m_zero):
-            return True
-        return (m + 1) in support and any(i <= j for i in fam0)
-
-    universe = range(1, m + 2)
-    v0_family = [
-        frozenset(c)
-        for size in range(m + 2)
-        for c in itertools.combinations(universe, size)
-        if v0_member(frozenset(c))
-    ]
+    extra = frozenset({m + 1})
+    cells = minimal_anticones(wc.base.with_omega(wc.omega_zero)).minimal
+    v0 = SemistableLocus.generated_by(m + 1, [c for c in cells if c <= m_zero] + [c | extra for c in cells])
 
     def carve(condition) -> SemistableLocus:
-        return _upward_minimal(m + 1, [s for s in v0_family if condition(s)])
+        return SemistableLocus.generated_by(m + 1, [g | h for g in v0.minimal for h in condition])
 
-    v0 = _upward_minimal(m + 1, v0_family)
-    v_plus_minus = carve(lambda s: (m + 1) in s)
-    v_plus_tilde = carve(lambda s: s & m_plus)
-    v_minus_tilde = carve(lambda s: s & m_minus)
-    v_plus = carve(lambda s: (m + 1) in s and s & m_plus)
-    v_minus = carve(lambda s: (m + 1) in s and s & m_minus)
-    v_tilde = carve(lambda s: s & m_plus and s & m_minus)
+    plus = [frozenset({i}) for i in m_plus]
+    minus = [frozenset({i}) for i in m_minus]
+    v_plus_minus = carve([extra])
+    v_plus_tilde = carve(plus)
+    v_minus_tilde = carve(minus)
+    v_plus = carve([h | extra for h in plus])
+    v_minus = carve([h | extra for h in minus])
+    v_tilde = carve([h | k for h in plus for k in minus])
 
     # the chamber loci must coincide with honest semistable loci
     for locus, data in (
@@ -166,8 +152,7 @@ def seven_loci(ext: ExtendedGIT) -> SevenLoci:
         (v_minus, ext.data_minus),
         (v_tilde, ext.data_tilde),
     ):
-        direct = _upward_minimal(m + 1, anticones(data))
-        if direct.minimal != locus.minimal:
+        if minimal_anticones(data) != locus:
             raise AssertionError("locus table disagrees with the chamber semistable locus")
     return SevenLoci(v0, v_plus, v_minus, v_tilde, v_plus_minus, v_plus_tilde, v_minus_tilde)
 

@@ -165,3 +165,45 @@ def test_non_integer_truncation_exits_2(capsys, monkeypatch):
 def test_negative_order_exits_2(capsys):
     code, out, err = run_cli(capsys, "hrr-check", "--example", "c2-diagonal", "--order", "-3")
     assert code == 2 and "MATCH" not in out and err.startswith("input error:")
+
+
+def test_wallcross_near_a_second_hyperplane(capsys, tmp_path):
+    # a hyperplane of the extended data crosses the ray below the wall point
+    # at t = 1/4000, so the resolution offset must stay under it
+    path = tmp_path / "near.json"
+    path.write_text('{"r": 2, "m": 4, "weights": [[1,0],[100,1],[100,-1],[-1,0]], "omega": ["1/20","1/10000"]}')
+    code, out, err = run_cli(capsys, "wallcross", "--data", str(path), "--omega-plus", "1/20,1/10000",
+                             "--omega-minus", "1/20,-1/10000", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["chambers"]["tilde"]["sample"] == ["1/20", "0", "-1/8000"]
+    assert payload["loci"]["C~"] == [[1, 2, 3], [2, 3, 5]]
+
+
+def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
+    import torickit.wallcrossing as wallcrossing
+
+    def broken(ext):
+        raise AssertionError("side chamber does not reduce to the base quotient")
+
+    monkeypatch.setattr(wallcrossing, "_verify_reductions", broken)
+    code, out, err = run_cli(capsys, "wallcross", "--example", "conifold")
+    assert code == 3 and out == ""
+    assert err == "internal error: side chamber does not reduce to the base quotient\n"
+
+
+@pytest.mark.parametrize(
+    "text, failure",
+    [
+        ('{"r": 1, "m": 2, "weights": [[1], [1]], "omega": ["-1"]}', "the full index set is not an anticone"),
+        ('{"r": 1, "m": 4, "weights": [[1], [1], [-1], [-1]], "omega": ["0"]}', "anticone {} does not span"),
+    ],
+    ids=["inadmissible", "conifold-on-wall"],
+)
+def test_fixed_points_rejects_invalid_data_like_euler(capsys, tmp_path, text, failure):
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    for command in ("fixed-points", "euler"):
+        code, out, err = run_cli(capsys, command, "--data", str(path))
+        assert code == 2 and out == ""
+        assert err == "input error: invalid GIT data: %s\n" % failure

@@ -75,6 +75,19 @@ def test_minimal_anticones():
     assert minimal_anticones(C2).minimal == (frozenset(),)
 
 
+def test_minimal_anticones_on_walls_are_minimal():
+    # {1} lies inside the anticone {1,2,3}, which is therefore not minimal
+    data = GITData.make(2, [(1, 0), (0, 1), (0, -1)], ["1", "0"])
+    assert minimal_anticones(data).minimal == (frozenset({1}),)
+    assert minimal_anticones(CONIFOLD.with_omega(["0"])).minimal == (frozenset(),)
+
+
+def test_fixed_points_on_a_wall_rejected():
+    for data in (CONIFOLD.with_omega(["0"]), GITData.make(2, [(1, 0), (0, 1), (0, -1)], ["1", "0"])):
+        with pytest.raises(OnWallError):
+            fixed_points(data)
+
+
 def test_fixed_points():
     assert sorted(map(sorted, fixed_points(CONIFOLD))) == [[1], [2]]
     assert sorted(map(sorted, fixed_points(P12))) == [[1], [2]]
@@ -203,6 +216,9 @@ def test_anticones_match_simplex_on_random_data():
         wall = _lp_on_wall(data)
         assert is_on_wall(data) == wall, data
         if wall:
+            fam = _lp_anticones(data)
+            minimal = [s for s in fam if not any(t < s for t in fam)]
+            assert list(minimal_anticones(data).minimal) == minimal, data
             on_wall += 1
             continue
         fam = _lp_anticones(data)

@@ -129,6 +129,8 @@ def test_extend_conifold_matrix_and_chambers():
     assert ext.chamber_plus.normals == ((1, 0), (1, 1))
     assert ext.chamber_minus.normals == ((-1, 0), (0, 1))
     assert ext.chamber_tilde.normals == ((-1, -1), (0, -1))
+    assert validate(ext.data_tilde).passed
+    assert not is_on_wall(ext.data_tilde)
     assert minimal_anticones(ext.data_tilde).to_json_list() == [[1, 3], [1, 4], [2, 3], [2, 4]]
 
 
@@ -159,14 +161,6 @@ def test_extend_reduces_to_base_quotients():
 def test_extended_conifold_has_four_fixed_points():
     ext = extend(crossing(CONIFOLD))
     assert len([a for a in anticones(ext.data_tilde) if len(a) == 2]) == 4
-
-
-def test_extend_epsilon_halving():
-    wc = crossing(CONIFOLD)
-    ext = extend(wc, epsilon=Fraction(10))  # far too large; must be halved in
-    assert validate(ext.data_tilde).passed
-    assert not is_on_wall(ext.data_tilde)
-    assert minimal_anticones(ext.data_tilde).to_json_list() == [[1, 3], [1, 4], [2, 3], [2, 4]]
 
 
 def test_pullback_classes():

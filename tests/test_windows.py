@@ -1,10 +1,14 @@
+import itertools
+import random
+import sys
+
 import pytest
 
-from torickit.errors import NonCrepantError
-from torickit.exactalg import rat_equal
-from torickit.gitdata import GITData
+from torickit.errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
+from torickit.exactalg import cone_contains, rat_equal
+from torickit.gitdata import GITData, anticones
 from torickit.localization import EquivClass, euler_characteristic, fixed_point_data, restrict
-from torickit.wallcrossing import extend, make_wall_crossing, pullback_class
+from torickit.wallcrossing import extend, make_wall_crossing, partition_M, pullback_class
 from torickit.windows import (
     Window,
     fm_euler_check,
@@ -19,6 +23,8 @@ from torickit.windows import (
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])
 KP2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
+RANK2 = GITData.make(2, [(1, -1), (1, -1), (-1, 0), (-1, 0), (0, 1)], ["1", "1"])
+BALANCED = GITData.make(1, [(1,)] * 8 + [(-1,)] * 8, ["1"])
 
 
 def crossing(data):
@@ -78,10 +84,92 @@ def test_seven_loci_set_relations():
             assert set(locus.family()) <= v0
 
 
+def _reference_seven_loci(ext):
+    """The seven loci by enumeration: the on-wall anticone family from the
+    simplex on every subset, then every subset of {1..m+1} tested against
+    the union formula and each locus's condition."""
+    wc = ext.wc
+    m = wc.base.m
+    m_plus, m_zero, m_minus = partition_M(wc)
+    wall = wc.base.with_omega(wc.omega_zero)
+
+    def subsets(n):
+        return [frozenset(c) for size in range(n + 1) for c in itertools.combinations(range(1, n + 1), size)]
+
+    fam0 = [s for s in subsets(m) if cone_contains(wall.submatrix_columns(s), wall.omega, strict=True)]
+
+    def v0_member(support):
+        j = support - {m + 1}
+        if any(i <= j for i in fam0 if i <= m_zero):
+            return True
+        return (m + 1) in support and any(i <= j for i in fam0)
+
+    v0_family = [s for s in subsets(m + 1) if v0_member(s)]
+
+    def minimal(family):
+        kept = [s for s in family if not any(t < s for t in family)]
+        return sorted((sorted(s) for s in kept), key=lambda s: (len(s), s))
+
+    def carve(condition):
+        return minimal([s for s in v0_family if condition(s)])
+
+    return {
+        "W0": minimal(v0_family),
+        "C+": carve(lambda s: (m + 1) in s and s & m_plus),
+        "C-": carve(lambda s: (m + 1) in s and s & m_minus),
+        "C~": carve(lambda s: s & m_plus and s & m_minus),
+        "W+|-": carve(lambda s: (m + 1) in s),
+        "W+|~": carve(lambda s: s & m_plus),
+        "W-|~": carve(lambda s: s & m_minus),
+    }
+
+
+def test_seven_loci_match_enumeration_on_random_crossings():
+    rng = random.Random(31)
+    found = {1: 0, 2: 0}
+    while min(found.values()) < 12:
+        r = rng.choice((1, 2))
+        m = rng.randint(r + 2, 5)
+        weights = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(m)]
+        if r == 1:
+            plus, minus = ["1"], ["-1"]
+        else:
+            plus = [str(rng.randint(-3, 3)) for _ in range(2)]
+            minus = [str(rng.randint(-3, 3)) for _ in range(2)]
+        try:
+            wc = make_wall_crossing(GITData.make(r, weights, plus), plus, minus)
+        except (InputError, NotAdjacentError, OnWallError):
+            continue
+        ext = extend(wc)
+        assert seven_loci(ext).to_json_dict() == _reference_seven_loci(ext), (weights, plus, minus)
+        found[r] += 1
+
+
+def test_wall_side_never_runs_the_simplex(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the simplex ran")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if (name == "torickit" or name.startswith("torickit.")) and hasattr(module, "cone_contains"):
+            monkeypatch.setattr(module, "cone_contains", refuse)
+            patched += 1
+    assert patched >= 4  # lp, exactalg, gitdata and the package root
+    with pytest.raises(AssertionError, match="simplex"):  # the on-wall family still needs it
+        anticones(CONIFOLD.with_omega(["0"]))
+    for data, plus, minus in (
+        (CONIFOLD, ["1"], ["-1"]),
+        (KP2, ["1"], ["-1"]),
+        (RANK2, ["1", "1"], ["-1", "1"]),
+        (BALANCED, ["1"], ["-1"]),
+    ):
+        wc = make_wall_crossing(data, plus, minus)
+        seven_loci(extend(wc))
+        kn_strata(wc)
+
+
 def test_v_plus_minus_reduces_to_wall_locus():
     # deleting the extra index turns the [+|-] locus into the wall locus
-    from torickit.gitdata import anticones
-
     for data in (CONIFOLD, KP2):
         wc = crossing(data)
         ext = extend(wc)
