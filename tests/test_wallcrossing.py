@@ -134,6 +134,25 @@ def test_extend_conifold_matrix_and_chambers():
     assert minimal_anticones(ext.data_tilde).to_json_list() == [[1, 3], [1, 4], [2, 3], [2, 4]]
 
 
+def test_extend_epsilon_halving():
+    # the offset below the wall is exact: halving it further never changes
+    # the resolution chamber, also on a wall whose offset is below the cap
+    wide = GITData.make(2, [(1, 0), (100, 1), (100, -1), (-1, 0)], ["1/20", "1/10000"])
+    for wc in (crossing(CONIFOLD), make_wall_crossing(wide, ["1/20", "1/10000"], ["1/20", "-1/10000"])):
+        ext = extend(wc)
+        assert validate(ext.data_tilde).passed
+        assert not is_on_wall(ext.data_tilde)
+        epsilon = -ext.omega_tilde[-1]
+        assert 0 < epsilon <= Fraction(1, 1000)
+        expected = minimal_anticones(ext.data_tilde).to_json_list()
+        for k in range(1, 6):
+            halved = ext.data_tilde.with_omega(wc.omega_zero + (-epsilon / 2**k,))
+            assert not is_on_wall(halved)
+            assert minimal_anticones(halved).to_json_list() == expected
+    ext = extend(crossing(CONIFOLD))
+    assert minimal_anticones(ext.data_tilde).to_json_list() == [[1, 3], [1, 4], [2, 3], [2, 4]]
+
+
 def test_extend_side_anticones_contain_extra_index():
     for data in (CONIFOLD, KP2):
         ext = extend(crossing(data))
