@@ -14,7 +14,6 @@ from .exactalg import (
     IntMatrix,
     LaurentPoly,
     RationalCharacter,
-    cone_contains,
     expand_rational,
     rat_equal,
     rational_solve,
@@ -36,7 +35,6 @@ __all__ = [
     "LaurentPoly",
     "RationalCharacter",
     "SemistableLocus",
-    "cone_contains",
     "expand_rational",
     "rat_equal",
     "rational_solve",

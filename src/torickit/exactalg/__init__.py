@@ -3,7 +3,7 @@
 from .cyclotomic import Cyc, format_fraction, parse_fraction
 from .intlinalg import (
     IntMatrix,
-    nullspace_vector,
+    kernel_basis,
     primitive_integer_vector,
     rational_inverse,
     rational_rank,
@@ -11,7 +11,7 @@ from .intlinalg import (
     smith_normal_form,
 )
 from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero
-from .lp import cone_contains, weights_convex
+from .lp import weights_convex
 from .ratchar import DenominatorCollapseError, Factor, RationalCharacter, rat_equal, specialize
 from .series import GradedSeries, Poly, RatFun, bernoulli, expand_rational, todd_coefficient
 
@@ -26,13 +26,12 @@ __all__ = [
     "RatFun",
     "RationalCharacter",
     "bernoulli",
-    "cone_contains",
     "expand_rational",
     "exp_add",
     "exp_apply",
     "exp_zero",
     "format_fraction",
-    "nullspace_vector",
+    "kernel_basis",
     "parse_fraction",
     "primitive_integer_vector",
     "rat_equal",

@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .intlinalg import rref
+
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     """Quotient and remainder of dense rational polynomials (low degree first)."""
@@ -72,45 +74,36 @@ def _divisors(n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _embedding_matrix(m: int, n: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Column j is zeta_n^(j*n/m) in the power basis of zeta_n, j < phi(m)."""
+def _subfield_operator(m: int, n: int):
+    """The embedding of Q(zeta_m) in Q(zeta_n) and its exact inverse there.
+
+    Returns (columns, left inverse, consistency rows): column j is
+    zeta_n^(j*n/m) in the power basis of zeta_n (j < phi(m)); one ``rref``
+    of [M | I] turns the embedding matrix M into rows [I | L] over rows
+    [0 | K], so L M = I and a vector c lies in Q(zeta_m) iff K c = 0, with
+    coordinates L c there.
+    """
     cols = []
     for j in range(_phi(m)):
         e = j * (n // m)
-        vec = [Fraction(0)] * (e + 1)
-        vec[e] = Fraction(1)
-        cols.append(tuple(_reduce_mod_cyclotomic(vec, n)))
-    return tuple(cols)
+        cols.append(tuple(_reduce_mod_cyclotomic([Fraction(0)] * e + [Fraction(1)], n)))
+    size, width = _phi(n), _phi(m)
+    reduced, _ = rref([[col[i] for col in cols] + [int(i == k) for k in range(size)] for i in range(size)], width)
+    left = tuple(tuple(row[width:]) for row in reduced[:width])
+    consistency = tuple(tuple(row[width:]) for row in reduced[width:])
+    return tuple(cols), left, consistency
 
 
 def _solve_in_subfield(coeffs, m, n):
     """Express an element of Q(zeta_n) in the zeta_m power basis, or None."""
-    cols = _embedding_matrix(m, n)
-    rows, ncols = _phi(n), _phi(m)
-    aug = [[cols[j][i] for j in range(ncols)] + [coeffs[i]] for i in range(rows)]
-    sol = [Fraction(0)] * ncols
-    pivot_row = 0
-    pivots = []
-    for col in range(ncols):
-        sel = next((r for r in range(pivot_row, rows) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[pivot_row], aug[sel] = aug[sel], aug[pivot_row]
-        pr = aug[pivot_row]
-        inv = 1 / pr[col]
-        aug[pivot_row] = [v * inv for v in pr]
-        for r in range(rows):
-            if r != pivot_row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-    for r in range(pivot_row, rows):
-        if aug[r][ncols]:
-            return None
-    for r, col in enumerate(pivots):
-        sol[col] = aug[r][ncols]
-    return sol
+    _, left, consistency = _subfield_operator(m, n)
+    if any(_dot(row, coeffs) for row in consistency):
+        return None
+    return [_dot(row, coeffs) for row in left]
+
+
+def _dot(row, coeffs) -> Fraction:
+    return sum((x * c for x, c in zip(row, coeffs) if x), Fraction(0))
 
 
 class Cyc:
@@ -178,7 +171,7 @@ class Cyc:
     def _promoted(self, n: int) -> list[Fraction]:
         if n == self.n:
             return list(self.coeffs)
-        cols = _embedding_matrix(self.n, n)
+        cols = _subfield_operator(self.n, n)[0]
         out = [Fraction(0)] * _phi(n)
         for j, c in enumerate(self.coeffs):
             if c:

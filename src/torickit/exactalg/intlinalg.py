@@ -2,6 +2,9 @@
 
 Matrices are small and dense; everything runs over Python ints and
 fractions.Fraction, so there is no overflow and no rounding anywhere.
+Every rational question (solve, rank, inverse, kernel, determinant) is
+answered by the one Gauss-Jordan kernel ``rref``; the Smith normal form
+keeps its own integer-unimodular elimination.
 """
 
 from __future__ import annotations
@@ -53,12 +56,22 @@ class IntMatrix:
         )
 
     def det(self) -> int:
+        """Determinant by cofactor descent on inverses: for A invertible,
+        (A^-1)_{j0} = (-1)^j det(A without row 0 and column j) / det(A), and
+        column 0 of A^-1 has a nonzero entry."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        d = rational_det([[Fraction(x) for x in row] for row in self.entries])
-        if d.denominator != 1:
-            raise AssertionError("determinant of an integer matrix must be an integer")
-        return d.numerator
+        a = [list(row) for row in self.entries]
+        det = Fraction(1)
+        while a:
+            try:
+                column = [row[0] for row in rational_inverse(a)]
+            except ValueError:
+                return 0
+            j = next(j for j, x in enumerate(column) if x)
+            det *= (-1) ** j / column[j]
+            a = [row[:j] + row[j + 1:] for row in a[1:]]
+        return det.numerator
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -138,133 +151,77 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
 
 
-def rational_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
+def rref(rows, ncols):
+    """Gauss-Jordan elimination over the rationals on the first ``ncols`` columns.
+
+    Returns ``(rows, pivots)``: the rows in reduced row echelon form on
+    those columns (entries past ``ncols`` ride along as augmented columns)
+    and the pivot column of each leading row; the rows past ``len(pivots)``
+    vanish on the first ``ncols`` columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        row = len(pivots)
+        sel = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if sel is None:
+            continue
+        a[row], a[sel] = a[sel], a[row]
+        inv = 1 / a[row][col]
+        a[row] = [x * inv for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+    return a, pivots
 
 
 def rational_solve(a_columns, b):
     """Solve sum_j x_j * a_columns[j] == b exactly; None when inconsistent.
 
     ``a_columns`` is a sequence of columns (each a vector), matching the
-    use of expressing one character in terms of a basis of others.
+    use of expressing one character in terms of a basis of others.  Free
+    coordinates are left at 0.
     """
-    cols = [list(map(Fraction, c)) for c in a_columns]
-    b = list(map(Fraction, b))
-    nrows = len(b)
-    if any(len(c) != nrows for c in cols):
+    ncols = len(a_columns)
+    if any(len(c) != len(b) for c in a_columns):
         raise ValueError("dimension mismatch")
-    ncols = len(cols)
-    aug = [[cols[j][i] for j in range(ncols)] + [b[i]] for i in range(nrows)]
-    pivots = []
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if aug[r][col]), None)
-        if sel is None:
-            continue
-        aug[row], aug[sel] = aug[sel], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for r in range(nrows):
-            if r != row and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-    for r in range(row, nrows):
-        if aug[r][ncols]:
-            return None
+    rows, pivots = rref([[c[i] for c in a_columns] + [b[i]] for i in range(len(b))], ncols)
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = aug[r][ncols]
+    for row, col in zip(rows, pivots):
+        x[col] = row[ncols]
     return x
 
 
 def rational_rank(vectors) -> int:
-    rows = [list(map(Fraction, v)) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    vectors = list(vectors)
+    return len(rref(vectors, len(vectors[0]))[1]) if vectors else 0
 
 
 def rational_inverse(rows):
     """Inverse of a square rational matrix as a list of row lists."""
     n = len(rows)
-    aug = [[Fraction(x) for x in rows[i]] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        sel = next((r for r in range(col, n) if aug[r][col]), None)
-        if sel is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[sel] = aug[sel], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    reduced, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
 
 
-def nullspace_vector(vectors):
-    """A nonzero rational vector orthogonal to all given vectors, or None."""
-    vecs = [list(map(Fraction, v)) for v in vectors]
-    if not vecs:
-        raise ValueError("ambient dimension unknown for empty input")
-    dim = len(vecs[0])
-    rows = [list(v) for v in vecs]
-    rank = 0
-    pivots = []
-    for col in range(dim):
-        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(dim) if c not in pivots]
-    if not free:
-        return None
-    col = free[0]
-    vec = [Fraction(0)] * dim
-    vec[col] = Fraction(1)
-    for r, pc in enumerate(pivots):
-        vec[pc] = -rows[r][col]
-    return vec
+def kernel_basis(rows, ncols):
+    """A basis of {x in Q^ncols : row . x == 0 for every row}, one vector per
+    free column (1 there, 0 at the other free columns)."""
+    reduced, pivots = rref(rows, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
+        basis.append(vec)
+    return basis
 
 
 def primitive_integer_vector(v) -> tuple[int, ...]:

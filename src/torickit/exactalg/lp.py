@@ -1,142 +1,51 @@
-"""Exact rational linear programming and cone membership.
+"""Cone questions without linear programming: positive circuits.
 
-A tiny dense simplex (Bland's rule, fractions throughout) decides two
-questions: is a point a nonnegative, respectively strictly positive,
-combination of given generators, and does a finite weight set lie in some
-strictly convex cone.  The minimal anticones are the wall cells, found by
-exact linear solves on a wall or off it (see ``gitdata.anticones``), so
-the package asks the first question only to list the anticones at a
-stability condition on a wall (that family is not upward closed) and to
-test the full index set there in ``validate``, and the second for the
-convexity certificate of localization.
+A positive circuit of a list of vectors is a minimal dependent subset
+whose kernel vector, unique up to scale, has every entry positive.  The
+nonnegative combinations with a positive coefficient that vanish form a
+pointed cone whose extreme rays are the positive circuits, so two exact
+questions reduce to listing them: is a finite weight set inside some
+strictly convex cone (``weights_convex``), and, with the wall cells of
+``gitdata``, which index sets are anticones at a stability condition on a
+wall (``gitdata.anticones``).  Every answer comes from ``rref``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import itertools
+
+from .intlinalg import kernel_basis, rational_rank
 
 
-def _pivot(tableau, basis, row, col):
-    inv = 1 / tableau[row][col]
-    tableau[row] = [x * inv for x in tableau[row]]
-    for r in range(len(tableau)):
-        if r != row and tableau[r][col]:
-            f = tableau[r][col]
-            tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[row])]
-    basis[row] = col
+def positive_circuits(vectors, max_size: int):
+    """The positive circuits of size <= max_size, as tuples of 0-based positions.
 
-
-def _optimize(tableau, basis, cost, ncols):
-    """Run simplex iterations (minimization, Bland's rule); return value."""
-    while True:
-        entering = None
-        for j in range(ncols):
-            rc = cost[j] - sum(cost[basis[r]] * tableau[r][j] for r in range(len(tableau)))
-            if rc < 0:
-                entering = j
-                break
-        if entering is None:
-            break
-        leaving, best = None, None
-        for r in range(len(tableau)):
-            if tableau[r][entering] > 0:
-                ratio = tableau[r][-1] / tableau[r][entering]
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    leaving, best = r, ratio
-        if leaving is None:
-            raise ArithmeticError("unbounded linear program")
-        _pivot(tableau, basis, leaving, entering)
-    return sum(cost[basis[r]] * tableau[r][-1] for r in range(len(tableau)))
-
-
-def solve_lp(rows, rhs, cost):
-    """Minimize cost.x subject to rows.x == rhs, x >= 0.
-
-    Returns (value, x) or None when infeasible.
+    The kernel of a subset C is one-dimensional and spanned by a positive
+    vector exactly when C is a positive circuit: a dependent proper subset
+    would give a kernel vector with smaller support.  A zero vector is a
+    circuit of size 1.
     """
-    m = len(rows)
-    n = len(cost)
-    a = [[Fraction(v) for v in row] for row in rows]
-    b = [Fraction(v) for v in rhs]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
-    tableau = [a[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]] for i in range(m)]
-    basis = list(range(n, n + m))
-    phase1 = [Fraction(0)] * n + [Fraction(1)] * m
-    if _optimize(tableau, basis, phase1, n + m) > 0:
-        return None
-    # remove artificial variables from the basis, dropping redundant rows
-    keep = []
-    for r in range(m):
-        if basis[r] >= n:
-            piv = next((j for j in range(n) if tableau[r][j]), None)
-            if piv is None:
-                continue
-            _pivot(tableau, basis, r, piv)
-        keep.append(r)
-    tableau = [tableau[r][:n] + [tableau[r][-1]] for r in keep]
-    basis = [basis[r] for r in keep]
-    value = _optimize(tableau, basis, [Fraction(c) for c in cost], n)
-    x = [Fraction(0)] * n
-    for r, var in enumerate(basis):
-        x[var] = tableau[r][-1]
-    return value, x
-
-
-def feasible(rows, rhs) -> bool:
-    """Does rows.x == rhs admit a solution with x >= 0?"""
-    if not rows:
-        return True
-    return solve_lp(rows, rhs, [Fraction(0)] * len(rows[0])) is not None
-
-
-def cone_contains(generators, point, strict: bool) -> bool:
-    """Is ``point`` a positive (strict) or nonnegative combination of generators?
-
-    The empty generator list spans only the origin.  Decided exactly.
-    """
-    point = [Fraction(x) for x in point]
-    generators = [[Fraction(x) for x in g] for g in generators]
-    for g in generators:
-        if len(g) != len(point):
-            raise ValueError("dimension mismatch between generators and point")
-    if not generators:
-        return not any(point)
-    dim, k = len(point), len(generators)
-    if dim == 0:
-        return True  # zero-dimensional ambient space: everything is the origin
-    cols = list(zip(*generators))  # dim x k
-    if not strict:
-        rows = [list(cols[i]) for i in range(dim)]
-        return feasible(rows, point)
-    # a_i = b_i + t with b >= 0, maximize t subject to t + slack == 1
-    gsum = [sum(col) for col in cols]
-    rows = [list(cols[i]) + [gsum[i], Fraction(0)] for i in range(dim)]
-    rows.append([Fraction(0)] * k + [Fraction(1), Fraction(1)])
-    rhs = point + [Fraction(1)]
-    cost = [Fraction(0)] * k + [Fraction(-1), Fraction(0)]  # maximize t
-    res = solve_lp(rows, rhs, cost)
-    return res is not None and -res[0] > 0
+    dim = len(vectors[0]) if vectors else 0
+    for size in range(1, max_size + 1):
+        for combo in itertools.combinations(range(len(vectors)), size):
+            basis = kernel_basis([[vectors[j][i] for j in combo] for i in range(dim)], size)
+            if len(basis) == 1 and all(x > 0 for x in basis[0]):
+                yield combo
 
 
 def weights_convex(weights) -> bool:
     """True when the weights fit inside some strictly convex cone.
 
     Equivalently no nonnegative combination with a positive coefficient
-    vanishes; a zero weight therefore fails.
+    vanishes, that is there is no positive circuit; a zero weight therefore
+    fails.  A circuit has a one-dimensional kernel, so it spans a space of
+    its size minus one and has at most rank + 1 elements: independent
+    weights need the one rank computation.
     """
-    weights = [[Fraction(x) for x in w] for w in weights]
-    if not weights:
-        return True
-    dim = len(weights[0])
-    if any(len(w) != dim for w in weights):
+    weights = [tuple(w) for w in weights]
+    if any(len(w) != len(weights[0]) for w in weights):
         raise ValueError("dimension mismatch among weights")
-    if dim == 0:
-        return False  # any weight is the zero character
-    cols = list(zip(*weights))
-    rows = [list(cols[i]) for i in range(dim)]
-    rows.append([Fraction(1)] * len(weights))
-    rhs = [Fraction(0)] * dim + [Fraction(1)]
-    return not feasible(rows, rhs)
+    rank = rational_rank(weights)
+    if rank == len(weights):
+        return True
+    return next(positive_circuits(weights, rank + 1), None) is None

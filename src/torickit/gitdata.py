@@ -15,13 +15,13 @@ from fractions import Fraction
 
 from .errors import InputError, OnWallError
 from .exactalg import (
-    cone_contains,
     format_fraction,
     parse_fraction,
     primitive_integer_vector,
     rational_inverse,
     rational_solve,
 )
+from .exactalg.lp import positive_circuits
 from .exactalg.lp import weights_convex  # noqa: F401  (re-exported API)
 
 Anticone = frozenset  # subsets of {1..m}, 1-based
@@ -195,15 +195,32 @@ def anticones(data: GITData) -> list[Anticone]:
     small eps > 0.
 
     On a wall the family is not upward closed (omega = 0 is a positive
-    combination of all four conifold characters but of no single one), so
-    listing it is one of the three uses of the simplex left in the package,
-    with the on-wall full-set test of ``validate`` and ``weights_convex``.
+    combination of all four conifold characters but of no single one); there
+    I is an anticone iff it contains a wall cell and is the union of the wall
+    cells and positive circuits (``lp.positive_circuits``) it contains.  The
+    polyhedron {x >= 0 supported on I : D x = omega} is pointed; its vertices
+    are the wall cells inside I (a vertex has independent support and a
+    positive solution there), and its extreme rays are the positive circuits
+    inside I.  So it is nonempty iff I contains a cell, and some point is
+    positive on all of I iff every index of I lies in a vertex or a ray.
     """
-    if is_on_wall(data):
-        return [
-            s for s in _subsets(data.m) if cone_contains(data.submatrix_columns(s), data.omega, strict=True)
-        ]
-    return minimal_anticones(data).family()
+    cells = _wall_cells(data)
+    if all(len(tau) == data.r for tau in cells):
+        return SemistableLocus(data.m, tuple(cells)).family()
+    circuits = _positive_circuits(data)
+    return [s for s in _subsets(data.m) if _is_wall_anticone(s, cells, circuits)]
+
+
+def _positive_circuits(data: GITData) -> list[Anticone]:
+    """The positive circuits of the characters (at most r + 1 of them each)."""
+    return [frozenset(i + 1 for i in c) for c in positive_circuits(data.weights, data.r + 1)]
+
+
+def _is_wall_anticone(s, cells, circuits) -> bool:
+    """The anticone rule of ``anticones``: s holds a cell, and its cells and
+    positive circuits cover it."""
+    inner = [c for c in cells if c <= s]
+    return bool(inner) and frozenset().union(*inner, *(c for c in circuits if c <= s)) == s
 
 
 @dataclass(frozen=True)
@@ -235,11 +252,14 @@ def validate(data: GITData) -> ValidationReport:
     The minimal anticones are the wall cells, which are linearly
     independent, so (b) fails exactly at the wall cells of size < r, that
     is on a wall.  Off the walls (a) holds iff some cell exists; on a wall
-    it is decided by the simplex.
+    it is the anticone rule of ``anticones`` for the full set: the cells
+    and positive circuits cover {1..m}.
     """
     cells = _wall_cells(data)
     thin = [tau for tau in cells if len(tau) < data.r]
-    full = cone_contains(data.weights, data.omega, strict=True) if thin else bool(cells)
+    full = bool(cells)
+    if thin:
+        full = _is_wall_anticone(frozenset(range(1, data.m + 1)), cells, _positive_circuits(data))
     failures = [] if full else ["the full index set is not an anticone"]
     failures += ["anticone {%s} does not span" % ",".join(map(str, sorted(tau))) for tau in thin]
     return ValidationReport(full, not thin, tuple(failures))

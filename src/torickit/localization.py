@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .errors import ConvergenceError, InputError
 from .exactalg import (
@@ -189,17 +189,15 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
         raise InputError("fixed points are anticones of size r")
     cols = data.submatrix_columns(delta)
     r = data.r
-    dmat = IntMatrix.from_rows([[cols[j][i] for j in range(r)] for i in range(r)])
-    det = dmat.det()
-    if det == 0:
+    # group elements: v in Q^r / Z^r with D_delta^T v integral, via Smith
+    # form; the group order is the product of the diagonal, |det D_delta|
+    _, s, v = smith_normal_form(IntMatrix.from_rows(cols))
+    diag = [s[(k, k)] for k in range(r)]
+    if 0 in diag:
         raise InputError("delta-columns are degenerate")
     if not all(x > 0 for x in rational_solve(cols, data.omega)):
         raise InputError("{%s} is not an anticone for this stability condition" % ",".join(map(str, delta)))
-    order = abs(det)
-
-    # group elements: v in Q^r / Z^r with D_delta^T v integral, via Smith form
-    _, s, v = smith_normal_form(dmat.transpose())
-    diag = [s[(k, k)] for k in range(r)]
+    order = prod(diag)
     elements = set()
     for combo in itertools.product(*[range(d) for d in diag]):
         y = [Fraction(j, d) for j, d in zip(combo, diag)]
@@ -208,7 +206,7 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
         )
         elements.add(vec)
     if len(elements) != order:
-        raise AssertionError("isotropy enumeration does not match the determinant")
+        raise AssertionError("isotropy enumeration does not match the Smith diagonal")
     elements = tuple(sorted(elements))
 
     tangent = tuple(j for j in range(1, data.m + 1) if j not in delta)

@@ -9,12 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
-from .exactalg import (
-    nullspace_vector,
-    parse_fraction,
-    primitive_integer_vector,
-    rational_rank,
-)
+from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
 from .gitdata import Chamber, GITData, chamber_of, is_on_wall, minimal_anticones, validate
 from .localization import EquivClass
 
@@ -65,13 +60,10 @@ def _candidate_normals(data: GITData):
         return [(1,)]
     normals = set()
     for combo in itertools.combinations(range(1, data.m + 1), data.r - 1):
-        cols = data.submatrix_columns(combo)
-        if rational_rank(cols) != data.r - 1:
+        kernel = kernel_basis(data.submatrix_columns(combo), data.r)
+        if len(kernel) != 1:
             continue
-        n = nullspace_vector(cols)
-        if n is None:
-            continue
-        n = primitive_integer_vector(n)
+        n = primitive_integer_vector(kernel[0])
         first = next(x for x in n if x)
         if first < 0:
             n = tuple(-x for x in n)

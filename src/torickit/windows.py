@@ -10,6 +10,7 @@ computed by localization on the resolution and on one side.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NonCrepantError, WindowLiftError
@@ -192,7 +193,7 @@ def _vanishes_on(data: GITData, E: EquivClass) -> bool:
     return True
 
 
-def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0, max_steps: int = 10000) -> EquivClass:
+def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
     """Rewrite a class from the minus side so every gauge weight against the
     wall normal lands in [base, base + eta), without changing any fixed-point
     restriction on the minus side.
@@ -202,6 +203,16 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0, max_steps: int =
     that was removed; the relation is checked to restrict to zero before it
     is used, and the final lift is checked against the input restriction by
     restriction at every fixed point.
+
+    The relation has weights 0..eta_minus, and eta_minus = eta on a crepant
+    wall, so trading a term of weight w >= base + eta puts terms only in
+    [w - eta, w) and trading one of weight w < base only in (w, w + eta].
+    Sweeping the levels from the outside in, down from the class's highest
+    weight and then up from its lowest, therefore clears each level for
+    good: the sweep is bounded by the weight range of E.  The result does
+    not depend on the order of the trades: two lifts differ by f times the
+    relation, whose weights span at least eta, so no nonzero difference fits
+    in the window.
     """
     if not wc.crepant:
         raise NonCrepantError("window lifts are only taken across crepant walls")
@@ -216,28 +227,27 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0, max_steps: int =
     shift_u = tuple(sum(wc.base.character(i)[k] for i in sorted(partition_M(wc)[2])) for k in range(wc.base.r))
     shift_s = tuple(-1 if (j in partition_M(wc)[2]) else 0 for j in range(1, wc.base.m + 1))
 
+    def weight(u):
+        return sum(a * b for a, b in zip(u, wc.e))
+
+    levels = [weight(u) for u, _ in E.terms]
+    top, bottom = max(levels, default=base), min(levels, default=base)
     current = E
-    for _ in range(max_steps):
-        offender = None
+    for w in itertools.chain(range(top, base + eta - 1, -1), range(bottom, base)):
         for (u, s), coeff in current.sorted_terms():
-            w = sum(a * b for a, b in zip(u, wc.e))
-            if not (base <= w < base + eta):
-                offender = (u, s, coeff, w)
-                break
-        if offender is None:
-            break
-        u, s, coeff, w = offender
-        if w >= base + eta:
-            # C = (u,s) detensored by the full Koszul monomial
-            cu = tuple(a + b for a, b in zip(u, shift_u))
-            cs = tuple(a + b for a, b in zip(s, shift_s))
-            c_class = EquivClass.line(wc.base.r, wc.base.m, cu, cs, coeff)
-            current = current - sign * c_class.tensor(relation)
-        else:
-            c_class = EquivClass.line(wc.base.r, wc.base.m, u, s, coeff)
-            current = current - c_class.tensor(relation)
-    else:
-        raise WindowLiftError("window lift did not terminate within %d steps" % max_steps)
+            if weight(u) != w:
+                continue
+            if w >= base + eta:
+                # C = (u,s) detensored by the full Koszul monomial
+                cu = tuple(a + b for a, b in zip(u, shift_u))
+                cs = tuple(a + b for a, b in zip(s, shift_s))
+                c_class = EquivClass.line(wc.base.r, wc.base.m, cu, cs, coeff)
+                current = current - sign * c_class.tensor(relation)
+            else:
+                c_class = EquivClass.line(wc.base.r, wc.base.m, u, s, coeff)
+                current = current - c_class.tensor(relation)
+    if any(not base <= weight(u) < base + eta for u, _ in current.terms):
+        raise WindowLiftError("window lift left a weight outside [%d, %d)" % (base, base + eta))
 
     for fp in _all_fixed_point_data(data_minus):
         for gi in range(fp.group_order):

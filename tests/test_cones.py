@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from torickit.exactalg.lp import cone_contains, solve_lp, weights_convex
+from simplex_reference import cone_contains, solve_lp
+from simplex_reference import weights_convex as reference_weights_convex
+from torickit.exactalg.lp import weights_convex
 
 
 def test_simple_ray():
@@ -77,3 +79,26 @@ def test_solve_lp_basic():
     assert value == 2
     assert x == [0, 2]
     assert solve_lp([[1], [1]], [1, 2], [0]) is None
+
+
+weight_sets = st.integers(0, 3).flatmap(
+    lambda dim: st.lists(st.tuples(*[st.integers(-2, 2)] * dim), max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_sets)
+@example([])
+@example([()])
+@example([(), ()])
+@example([(0, 0), (1, 0)])
+@example([(1, 0), (2, 0)])  # dependent but convex
+@example([(1, 0), (0, 1), (-1, -1)])  # a positive circuit of size rank + 1
+@example([(1, 1, 0), (-1, -1, 0), (0, 0, 1)])
+def test_weights_convex_matches_simplex(weights):
+    assert weights_convex(weights) == reference_weights_convex(weights)
+
+
+def test_weights_convex_rejects_ragged_weights():
+    with pytest.raises(ValueError):
+        weights_convex([(1, 0), (1,)])

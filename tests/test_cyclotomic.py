@@ -96,3 +96,15 @@ def test_parse_fraction():
 def test_str_forms():
     assert str(Cyc.rational(Fraction(-3, 2))) == "-3/2"
     assert "z4" in str(zeta(4) + Cyc.rational(1))
+
+
+def test_subfield_operator_inverts_the_embedding():
+    from torickit.exactalg.cyclotomic import _phi, _subfield_operator
+
+    for n in (4, 6, 12, 15, 20):
+        for m in (d for d in range(1, n) if n % d == 0):
+            cols, left, consistency = _subfield_operator(m, n)
+            assert len(left) == _phi(m) and len(consistency) == _phi(n) - _phi(m)
+            for j, col in enumerate(cols):
+                assert [sum(a * b for a, b in zip(row, col)) for row in left] == [int(i == j) for i in range(_phi(m))]
+                assert not any(sum(a * b for a, b in zip(row, col)) for row in consistency)

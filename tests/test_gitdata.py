@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from simplex_reference import cone_contains
 from torickit.errors import InputError, OnWallError
-from torickit.exactalg import cone_contains
 from torickit.examples import get_example
 from torickit.gitdata import (
     GITData,
@@ -234,25 +234,97 @@ def test_anticones_match_simplex_on_random_data():
     assert nonempty >= 50 and off_wall - nonempty >= 20 and on_wall >= 10
 
 
-def test_is_on_wall_matches_simplex_on_walls():
-    kp2 = get_example("kp2").data
-    rank2 = GITData.make(2, [(1, -1), (1, -1), (-1, 0), (-1, 0), (0, 1)], ["1", "1"])
-    on_wall = [
+KP2 = get_example("kp2").data
+RANK2 = GITData.make(2, [(1, -1), (1, -1), (-1, 0), (-1, 0), (0, 1)], ["1", "1"])
+
+
+def _named_walls():
+    return [
         CONIFOLD.with_omega(["0"]),
         GITData.make(2, [(1, 0), (0, 1), (1, 1)], ["0", "0"]),
         CONIFOLD.with_omega(make_wall_crossing(CONIFOLD, ["1"], ["-1"]).omega_zero),
-        kp2.with_omega(make_wall_crossing(kp2, ["1"], ["-1"]).omega_zero),
-        rank2.with_omega(make_wall_crossing(rank2, ["1", "1"], ["-1", "1"]).omega_zero),
+        KP2.with_omega(make_wall_crossing(KP2, ["1"], ["-1"]).omega_zero),
+        RANK2.with_omega(make_wall_crossing(RANK2, ["1", "1"], ["-1", "1"]).omega_zero),
         # on the ray of one character, a wall of dimension r - 1 = 1
         GITData.make(2, [(1, 2), (1, 0), (0, 1), (-1, 1)], ["2", "4"]),
         # in the cone of two characters, a wall of dimension r - 1 = 2
         GITData.make(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)], ["1", "1/2", "0"]),
     ]
-    for data in on_wall:
+
+
+def test_is_on_wall_matches_simplex_on_walls():
+    for data in _named_walls():
         assert _lp_on_wall(data) and is_on_wall(data), data
         assert anticones(data) == _lp_anticones(data), data
-    for data in (CONIFOLD, kp2, rank2, P12, C2):
+    for data in (CONIFOLD, KP2, RANK2, P12, C2):
         assert not _lp_on_wall(data) and not is_on_wall(data), data
+
+
+def _random_wall_data(rng):
+    """Random characters with omega a nonnegative combination of fewer than
+    r of them, which puts omega on a wall."""
+    r = rng.randint(1, 3)
+    m = rng.randint(r, 7)
+    weights = [tuple(rng.randint(-2, 2) for _ in range(r)) for _ in range(m)]
+    coeffs = {i: Fraction(rng.randint(0, 3), rng.randint(1, 2)) for i in rng.sample(range(m), rng.randint(0, r - 1))}
+    omega = [sum((c * weights[i][k] for i, c in coeffs.items()), Fraction(0)) for k in range(r)]
+    return GITData.make(r, weights, omega)
+
+
+def test_anticone_rule_matches_simplex_on_walls():
+    rng = random.Random(77)
+    on_wall = anticone = full = 0
+    for _ in range(320):
+        data = _random_wall_data(rng)
+        if not _lp_on_wall(data):
+            continue
+        family = set(anticones(data))
+        every = frozenset(range(1, data.m + 1))
+        subsets = _subsets(data.m, range(data.m + 1))
+        if data.m > 4:  # the simplex on all 32 to 128 subsets is slow; sample them
+            subsets = rng.sample(subsets, 12) + [every]
+        for s in subsets:
+            expected = cone_contains(data.submatrix_columns(s), data.omega, strict=True)
+            assert (s in family) == expected, (data, s)
+            anticone += expected
+        assert validate(data).nonempty_ok == (every in family), data
+        on_wall += 1
+        full += every in family
+    # the draws must land on walls and reach both answers, also for the full set
+    assert on_wall >= 300 and anticone >= 800 and 30 <= full <= on_wall - 30, (on_wall, anticone, full)
+
+
+def _sympy_strictly_inside(gens, point):
+    """Is point a strictly positive combination of gens?  By sympy's exact
+    simplex: the largest t <= 1 with x >= t and sum x_i g_i == point."""
+    sympy = pytest.importorskip("sympy")
+    simplex = pytest.importorskip("sympy.solvers.simplex")
+    xs = sympy.symbols("x0:%d" % len(gens))
+    t = sympy.Symbol("t")
+    constraints = [t <= 1] + [x >= t for x in xs] + [x >= 0 for x in xs]
+    for k, target in enumerate(point):
+        expr = sum(g[k] * x for g, x in zip(gens, xs))
+        if expr == 0:
+            if target:
+                return False
+            continue
+        constraints.append(sympy.Eq(expr, target))
+    try:
+        value, _ = simplex.lpmax(t, constraints)
+    except simplex.InfeasibleLPError:
+        return False
+    return value > 0
+
+
+def test_reference_simplex_matches_sympy_on_named_walls():
+    answers = []
+    for data in _named_walls():
+        every = frozenset(range(1, data.m + 1))
+        for s in (every, every - {1}):
+            expected = cone_contains(data.submatrix_columns(s), data.omega, strict=True)
+            assert _sympy_strictly_inside(data.submatrix_columns(s), data.omega) == expected, (data, s)
+            answers.append(expected)
+    assert True in answers and False in answers
 
 
 def test_rank_zero_every_subset_is_an_anticone():

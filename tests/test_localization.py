@@ -7,6 +7,7 @@ from torickit.errors import ConvergenceError, InputError
 from torickit.exactalg import (
     Cyc,
     Factor,
+    IntMatrix,
     LaurentPoly,
     RationalCharacter,
     expand_rational,
@@ -61,6 +62,20 @@ def test_fixed_point_data_rejects_non_anticone():
         fixed_point_data(CONIFOLD, {3})
     with pytest.raises(InputError):
         fixed_point_data(CONIFOLD, {1, 2})
+    dependent = GITData.make(2, [(1, 0), (2, 0), (0, 1)], ["1", "1"])
+    with pytest.raises(InputError, match="delta-columns are degenerate"):
+        fixed_point_data(dependent, {1, 2})
+
+
+def test_fixed_point_group_order_is_the_determinant():
+    data = GITData.make(2, [(2, 0), (0, 2), (1, 1)], ["3", "1"])
+    orders = []
+    for delta in fixed_points(data):
+        fp = fixed_point_data(data, delta)
+        cols = data.submatrix_columns(fp.delta)
+        assert fp.group_order == abs(IntMatrix.from_rows(cols).det()) == len(fp.group_elements)
+        orders.append(fp.group_order)
+    assert orders == [4, 2]  # Z/2 x Z/2 at {1,2}, Z/2 at {1,3}
 
 
 def test_restrict_trivial_class():

@@ -1,0 +1,158 @@
+"""sympy as an independent oracle for the character algebra.
+
+Small rational characters with rational coefficients and integer exponents
+are drawn by hypothesis, written out as sympy expressions in x_i = e^{lambda_i}
+and compared: equality through ``cancel``, Laurent-polynomial recognition
+through the reduced denominator, and graded expansions through ``series``
+in t after x_i -> exp(t * l_i).  sympy is only needed for the tests.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from torickit.exactalg import Cyc, Factor, LaurentPoly, RationalCharacter, expand_rational, rat_equal
+
+sympy = pytest.importorskip("sympy")
+
+NVARS = 2
+XS = sympy.symbols("x1:%d" % (NVARS + 1))
+LS = sympy.symbols("l1:%d" % (NVARS + 1))
+T = sympy.Symbol("t")
+
+exponents = st.tuples(*[st.integers(-2, 2)] * NVARS)
+factors = st.builds(
+    lambda c, mu: Factor(Cyc.rational(c), tuple(map(Fraction, mu))),
+    st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2)]),
+    exponents.filter(any),
+)
+polys = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(
+    lambda terms: LaurentPoly(NVARS, terms)
+)
+characters = st.lists(st.tuples(polys, st.lists(factors, max_size=2)), min_size=1, max_size=2).map(
+    lambda terms: RationalCharacter(NVARS, terms)
+)
+
+
+def _rational(c: Cyc):
+    q = c.rational_value()
+    return sympy.Rational(q.numerator, q.denominator)
+
+
+def _monomial(q, variables):
+    return sympy.Mul(*[v ** int(e) for v, e in zip(variables, q)])
+
+
+def _poly(p: LaurentPoly):
+    return sympy.Add(*[_rational(c) * _monomial(q, XS) for q, c in p.terms.items()])
+
+
+def _factor(f: Factor):
+    return 1 - _rational(f.c) * _monomial(f.mu, XS)
+
+
+def _character(x: RationalCharacter):
+    return sympy.Add(*[_poly(num) / sympy.Mul(*[_factor(f) for f in den]) for num, den in x.terms])
+
+
+def _rewritten(x: RationalCharacter) -> RationalCharacter:
+    """The same character in another shape: 1/f = 1 + c e^mu / f for the
+    first factor f of each term."""
+    out = RationalCharacter.zero(x.nvars)
+    for num, den in x.terms:
+        if not den:
+            out = out + RationalCharacter.from_poly(num)
+            continue
+        f = den[0]
+        out = out + RationalCharacter.fraction(num, den[1:])
+        out = out + RationalCharacter.fraction(num * LaurentPoly.monomial(x.nvars, f.mu, f.c), den)
+    return out
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(characters, characters)
+def test_rat_equal_matches_sympy_cancel(a, b):
+    assert rat_equal(a, _rewritten(a))
+    assert sympy.cancel(_character(a) - _character(_rewritten(a))) == 0
+    assert rat_equal(a, b) == (sympy.cancel(_character(a) - _character(b)) == 0)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(polys, st.lists(factors, max_size=2), st.lists(factors, max_size=2), st.booleans())
+def test_as_laurent_polynomial_matches_sympy(num, den, other, exact):
+    # num * prod(den or other) / prod(den): a Laurent polynomial at least when exact
+    for f in den if exact else other:
+        num = num * f.as_poly(NVARS)
+    x = RationalCharacter.fraction(num, den)
+    reduced = sympy.cancel(sympy.together(_character(x)))
+    _, denominator = sympy.fraction(reduced)
+    is_laurent = len(sympy.Poly(denominator, *XS).terms()) == 1
+    result = x.as_laurent_polynomial()
+    assert (result is not None) == is_laurent
+    if exact:
+        assert result is not None
+    if result is not None:
+        assert sympy.cancel(_poly(result) - reduced) == 0
+
+
+def _ratfun_at(piece, point):
+    def value(p):
+        return sum((_rational(c) * _monomial(e, point) for e, c in p.terms.items()), sympy.Integer(0))
+
+    return value(piece.num) / value(piece.den)
+
+
+small_characters = st.lists(
+    st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(-1, 1)] * NVARS), st.integers(-2, 2).filter(bool),
+                        min_size=1, max_size=2).map(lambda terms: LaurentPoly(NVARS, terms)),
+        st.lists(factors, max_size=2),
+    ),
+    min_size=1,
+    max_size=2,
+).map(lambda terms: RationalCharacter(NVARS, terms))
+
+
+def _laurent_coefficients(x, point, prec):
+    """{n: coefficient of t^n} of x at lambda = t * point, n < prec - 2, by
+    sympy's exact ring series: exponentials, products and inverses of
+    series with a nonzero constant term; a pole factor 1 - e^{k t} is
+    divided by t first."""
+    ring_series = pytest.importorskip("sympy.polys.ring_series")
+    QQ = sympy.QQ
+    ring, t = sympy.polys.rings.ring("t", QQ)
+
+    def exp(mu, n):
+        return ring_series.rs_exp(sum(int(a) * b for a, b in zip(mu, point)) * t, t, n)
+
+    def qq(c):
+        q = c.rational_value()
+        return QQ(q.numerator, q.denominator)
+
+    out = {}
+    for num, den in x.terms:
+        series = sum((qq(c) * exp(q, prec) for q, c in num.terms.items()), ring(0))
+        poles = 0
+        for f in den:
+            factor = 1 - qq(f.c) * exp(f.mu, prec + 1)
+            if f.c == 1:
+                factor, poles = factor.exquo(t), poles + 1
+            series = ring_series.rs_mul(series, ring_series.rs_series_inversion(factor, t, prec), t, prec)
+        for (e,), c in series.terms():
+            out[e - poles] = out.get(e - poles, QQ(0)) + c
+    return {n: sympy.Rational(c.numerator, c.denominator) for n, c in out.items() if n < prec - 2}
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_characters)
+def test_expand_rational_matches_sympy_series(x):
+    # the graded pieces are homogeneous in lambda; they are compared at two
+    # integer points where no mu . lambda with mu a nonzero exponent vanishes
+    order = 2
+    graded = expand_rational(x, order)
+    for point in ((7, 3), (5, -2)):
+        expected = _laurent_coefficients(x, point, order + 3)
+        for n in range(-2, order + 1):
+            assert expected.get(n, 0) == _ratfun_at(graded.coefficient(n), point), (point, n)

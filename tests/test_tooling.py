@@ -1,0 +1,62 @@
+"""Guards on how the package is written and run: no ``assert`` statements in
+the sources, and the same answers with ``python -O``, which strips them."""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs each argv through the CLI in one process and prints, as JSON, the
+# optimisation flag and (exit code, stdout, stderr) per argv.
+RUNNER = """
+import contextlib, io, json, sys
+from torickit.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps({"optimize": sys.flags.optimize, "results": results}))
+"""
+
+
+def test_no_assert_statements_in_src():
+    files = sorted(SRC.rglob("*.py"))
+    assert len(files) >= 15
+    found = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def _run(flags, argvs):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", RUNNER, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def test_cli_answers_unchanged_under_python_O(tmp_path):
+    wall = tmp_path / "conifold_wall.json"
+    wall.write_text(json.dumps({"r": 1, "m": 4, "weights": [[1], [1], [-1], [-1]], "omega": ["0"]}))
+    argvs = [
+        [command, *source, *extra]
+        for source in (["--example", "conifold"], ["--data", str(wall)])
+        for command, extra in (("validate", []), ("anticones", []), ("euler", ["--class", "O(1)"]))
+    ]
+    plain, optimized = _run([], argvs), _run(["-O"], argvs)
+    assert (plain["optimize"], optimized["optimize"]) == (0, 1)
+    assert optimized["results"] == plain["results"]
+    # at omega = 1 all three succeed; at omega = 0 validate reports the failures
+    # and euler refuses the data as an input error
+    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 1, 0, 2]

@@ -1,11 +1,13 @@
+import importlib
 import itertools
+import pkgutil
 import random
-import sys
 
 import pytest
 
 from torickit.errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
-from torickit.exactalg import cone_contains, rat_equal
+from simplex_reference import cone_contains
+from torickit.exactalg import rat_equal
 from torickit.gitdata import GITData, anticones
 from torickit.localization import EquivClass, euler_characteristic, fixed_point_data, restrict
 from torickit.wallcrossing import extend, make_wall_crossing, partition_M, pullback_class
@@ -145,18 +147,18 @@ def test_seven_loci_match_enumeration_on_random_crossings():
         found[r] += 1
 
 
-def test_wall_side_never_runs_the_simplex(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the simplex ran")
+def test_wall_side_never_runs_the_simplex():
+    import torickit
 
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if (name == "torickit" or name.startswith("torickit.")) and hasattr(module, "cone_contains"):
-            monkeypatch.setattr(module, "cone_contains", refuse)
-            patched += 1
-    assert patched >= 4  # lp, exactalg, gitdata and the package root
-    with pytest.raises(AssertionError, match="simplex"):  # the on-wall family still needs it
-        anticones(CONIFOLD.with_omega(["0"]))
+    names = ["torickit"] + [info.name for info in pkgutil.walk_packages(torickit.__path__, "torickit.")]
+    modules = [importlib.import_module(name) for name in names]
+    assert len(modules) >= 15  # the package, its seven modules, exactalg and its six
+    for module in modules:
+        for name in ("solve_lp", "cone_contains", "feasible"):
+            assert not hasattr(module, name), (module.__name__, name)
+    # the on-wall family comes from wall cells and positive circuits: the empty
+    # set, the pairs {1,3}, {1,4}, {2,3}, {2,4}, the four triples and {1,2,3,4}
+    assert len(anticones(CONIFOLD.with_omega(["0"]))) == 10
     for data, plus, minus in (
         (CONIFOLD, ["1"], ["-1"]),
         (KP2, ["1"], ["-1"]),
@@ -290,6 +292,29 @@ def test_window_lift_other_bases():
     sp, _ = kn_strata(wc)
     lifted = window_lift(wc, O(2), base=1)
     assert all(1 <= w < 3 for w in window_weights(lifted, sp))
+
+
+def test_window_lift_far_outside_the_window():
+    rank2 = make_wall_crossing(RANK2, ["1", "1"], ["-1", "1"])
+    cases = [(crossing(CONIFOLD), 40), (crossing(KP2), 40), (rank2, 20)]
+    for wc, a in cases:
+        sp, _ = kn_strata(wc)
+        r, m = wc.base.r, wc.base.m
+        for sign in (1, -1):
+            E = EquivClass.line(r, m, tuple(sign * a * x for x in wc.e))
+            assert abs(window_weights(E, sp)[0]) >= a  # far outside [0, eta)
+            lifted = window_lift(wc, E)  # checks every minus-side restriction
+            assert in_window(lifted, Window(sp, 0))
+            assert lifts_agree(wc, lifted, E)
+
+
+def test_window_lift_is_linear():
+    # the lift is unique, so it is additive whatever the order of the trades
+    for data in (CONIFOLD, KP2):
+        wc = crossing(data)
+        a = EquivClass.line(1, data.m, (9,), (0, 1, 0, 0))
+        b = EquivClass.line(1, data.m, (-7,), (0, 0, 2, 0), 3)
+        assert window_lift(wc, a + b) == window_lift(wc, a) + window_lift(wc, b)
 
 
 def test_window_lift_refuses_non_crepant():
