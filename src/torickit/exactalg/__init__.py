@@ -13,7 +13,7 @@ from .intlinalg import (
 from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero
 from .lp import weights_convex
 from .ratchar import DenominatorCollapseError, Factor, RationalCharacter, rat_equal, specialize
-from .series import GradedSeries, Poly, RatFun, bernoulli, expand_rational, todd_coefficient
+from .series import GradedSeries, RatFun, bernoulli, expand_rational, todd_coefficient
 
 __all__ = [
     "Cyc",
@@ -22,7 +22,6 @@ __all__ = [
     "GradedSeries",
     "IntMatrix",
     "LaurentPoly",
-    "Poly",
     "RatFun",
     "RationalCharacter",
     "bernoulli",

@@ -335,5 +335,3 @@ def parse_fraction(text) -> Fraction:
 
 
 _ONE = Cyc(1, [Fraction(1)])
-ZERO = Cyc(1, [Fraction(0)])
-ONE = _ONE

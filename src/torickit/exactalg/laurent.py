@@ -1,8 +1,11 @@
-"""Laurent polynomials in e^{lambda_1},...,e^{lambda_m} with fractional exponents.
+"""Sparse Laurent polynomials over a cyclotomic field.
 
-A monomial is e^{q.lambda} for an exponent vector q with rational entries
-(the fractional weights showing up at orbifold fixed points); it is stored
-as a tuple of fractions.  Coefficients live in a cyclotomic field.
+One type serves two roles.  As a character, a monomial is e^{q.lambda} for
+an exponent vector q with rational entries (the fractional weights showing
+up at orbifold fixed points).  As a graded piece of an expansion in lambda
+(see ``series``), a monomial is lambda^e with integer exponents.  An
+exponent is a tuple whose entries stay ``int`` or ``Fraction`` as given;
+keys compare and hash by value, since hash(Fraction(n)) == hash(n).
 """
 
 from __future__ import annotations
@@ -11,11 +14,15 @@ from fractions import Fraction
 
 from .cyclotomic import Cyc, format_fraction
 
-Exponent = tuple  # tuple of Fraction, one entry per torus factor
+Exponent = tuple  # tuple of int or Fraction, one entry per torus factor
 
+
+def as_exponent(q) -> Exponent:
+    """Keep int and Fraction entries as they are; read anything else as a Fraction."""
+    return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in q)
 
 def exp_zero(nvars: int) -> Exponent:
-    return (Fraction(0),) * nvars
+    return (0,) * nvars
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
     return tuple(x + y for x, y in zip(a, b))
@@ -48,7 +55,7 @@ class LaurentPoly:
             if not isinstance(c, Cyc):
                 c = Cyc.rational(c)
             if c:
-                clean[tuple(Fraction(x) for x in q)] = c
+                clean[as_exponent(q)] = c
         self.terms = clean
 
     # -- constructors ---------------------------------------------------
@@ -63,7 +70,7 @@ class LaurentPoly:
 
     @staticmethod
     def monomial(nvars: int, q: Exponent, coeff=1) -> "LaurentPoly":
-        return LaurentPoly(nvars, {tuple(Fraction(x) for x in q): coeff if isinstance(coeff, Cyc) else Cyc.rational(coeff)})
+        return LaurentPoly(nvars, {q: coeff})
 
     # -- ring operations --------------------------------------------------
 
@@ -144,7 +151,7 @@ class LaurentPoly:
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def coefficient(self, q: Exponent) -> Cyc:
-        return self.terms.get(tuple(Fraction(x) for x in q), Cyc.rational(0))
+        return self.terms.get(as_exponent(q), Cyc.rational(0))
 
     def all_rational(self) -> bool:
         return all(c.is_rational() for c in self.terms.values())

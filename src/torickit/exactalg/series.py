@@ -5,13 +5,17 @@ character into a Laurent series in t whose degree-n piece is a homogeneous
 degree-n rational function of lambda_1..lambda_m.  Pieces of negative
 degree arise from factors (1 - e^{mu}) which contribute a simple pole
 1/(mu.lambda) times a Bernoulli-type series.
+
+Graded pieces are quotients of ``LaurentPoly`` values in lambda with
+integer exponents: the sparse polynomial type of the characters, whose
+exponents in e^lambda may be fractional, read here as monomials lambda^e.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 from .cyclotomic import Cyc
 from .laurent import LaurentPoly
@@ -19,143 +23,37 @@ from .ratchar import RationalCharacter
 
 
 # ---------------------------------------------------------------------------
-# polynomials in lambda with cyclotomic coefficients
+# graded pieces: LaurentPoly in lambda_1..lambda_m with integer exponents
 
 
-class Poly:
-    """Multivariate polynomial in lambda_1..lambda_m over a cyclotomic field."""
+def linear_form(nvars: int, coeffs) -> LaurentPoly:
+    """The linear form sum_i coeffs[i] * lambda_i."""
+    return LaurentPoly(nvars, {tuple(int(i == j) for j in range(nvars)): c for i, c in enumerate(coeffs) if c})
 
-    __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean = {}
-        for e, c in (terms or {}).items():
-            if not isinstance(c, Cyc):
-                c = Cyc.rational(c)
-            if c:
-                clean[tuple(int(x) for x in e)] = c
-        self.terms = clean
-
-    @staticmethod
-    def zero(nvars: int) -> "Poly":
-        return Poly(nvars)
-
-    @staticmethod
-    def constant(nvars: int, value) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: value})
-
-    @staticmethod
-    def linear(nvars: int, coeffs) -> "Poly":
-        """The linear form sum_i coeffs[i] * lambda_i."""
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                e = [0] * nvars
-                e[i] = 1
-                terms[tuple(e)] = Cyc.rational(c)
-        return Poly(nvars, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, Poly) and self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "Poly") -> "Poly":
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            acc = terms.get(e)
-            s = c if acc is None else acc + c
-            if s:
-                terms[e] = s
-            elif acc is not None:
-                del terms[e]
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
-
-    def __neg__(self) -> "Poly":
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc)):
-            c0 = other if isinstance(other, Cyc) else Cyc.rational(other)
-            if not c0:
-                return Poly.zero(self.nvars)
-            return Poly(self.nvars, {e: c * c0 for e, c in self.terms.items()})
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                acc = terms.get(e)
-                s = c if acc is None else acc + c
-                if s:
-                    terms[e] = s
-                elif acc is not None:
-                    del terms[e]
-        out = Poly.__new__(Poly)
-        out.nvars, out.terms = self.nvars, terms
-        return out
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        out = Poly.constant(self.nvars, 1)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def all_rational(self) -> bool:
-        return all(c.is_rational() for c in self.terms.values())
-
-    def monomial_content(self):
-        """Componentwise minimum exponent over the support."""
-        if not self.terms:
-            return None
-        mins = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        return tuple(mins)
-
-    def shift_down(self, content) -> "Poly":
-        return Poly(self.nvars, {tuple(a - b for a, b in zip(e, content)): c for e, c in self.terms.items()})
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                ("l%d" % (i + 1) if k == 1 else "l%d^%d" % (i + 1, k)) for i, k in enumerate(e) if k
-            )
-            cs = str(c)
-            if not c.is_rational():
-                cs = "(" + cs + ")"
-            if mono:
-                if cs == "1":
-                    parts.append(mono)
-                elif cs == "-1":
-                    parts.append("-" + mono)
-                else:
-                    parts.append(cs + "*" + mono)
+def _format_graded(p: LaurentPoly) -> str:
+    """Render a polynomial in lambda as l1^2*l2, highest degree first."""
+    if not p.terms:
+        return "0"
+    parts = []
+    for e in sorted(p.terms, key=lambda t: (sum(t), t), reverse=True):
+        c = p.terms[e]
+        mono = "*".join(
+            ("l%d" % (i + 1) if k == 1 else "l%d^%d" % (i + 1, k)) for i, k in enumerate(e) if k
+        )
+        cs = str(c)
+        if not c.is_rational():
+            cs = "(" + cs + ")"
+        if mono:
+            if cs == "1":
+                parts.append(mono)
+            elif cs == "-1":
+                parts.append("-" + mono)
             else:
-                parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+                parts.append(cs + "*" + mono)
+        else:
+            parts.append(cs)
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 class RatFun:
@@ -163,18 +61,21 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly = None):
+    def __init__(self, num: LaurentPoly, den: LaurentPoly = None):
         if den is None:
-            den = Poly.constant(num.nvars, 1)
+            den = LaurentPoly.one(num.nvars)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            den = Poly.constant(num.nvars, 1)
+            den = LaurentPoly.one(num.nvars)
         else:
-            nc, dc = num.monomial_content(), den.monomial_content()
-            common = tuple(min(a, b) for a, b in zip(nc, dc))
+            # divide out the monomial content common to numerator and denominator
+            common = tuple(map(min, zip(*num.terms, *den.terms)))
             if any(common):
-                num, den = num.shift_down(common), den.shift_down(common)
+                num, den = (
+                    LaurentPoly(p.nvars, {tuple(a - b for a, b in zip(e, common)): c for e, c in p.terms.items()})
+                    for p in (num, den)
+                )
             if len(num.terms) == len(den.terms) and not (
                 len(den.terms) == 1 and not any(next(iter(den.terms)))
             ):
@@ -184,14 +85,14 @@ class RatFun:
                 if top is not None:
                     ratio = top / den.terms[key]
                     if den * ratio == num:
-                        num = Poly.constant(num.nvars, 1) * ratio
-                        den = Poly.constant(num.nvars, 1)
+                        den = LaurentPoly.one(num.nvars)
+                        num = den * ratio
         self.num = num
         self.den = den
 
     @staticmethod
     def scalar(nvars: int, value) -> "RatFun":
-        return RatFun(Poly.constant(nvars, value))
+        return RatFun(LaurentPoly(nvars, {(0,) * nvars: value}))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -228,12 +129,12 @@ class RatFun:
         return self.num.all_rational() and self.den.all_rational()
 
     def __str__(self):
-        if self.den == Poly.constant(self.num.nvars, 1):
-            return str(self.num)
-        ns = str(self.num)
+        if self.den == LaurentPoly.one(self.num.nvars):
+            return _format_graded(self.num)
+        ns = _format_graded(self.num)
         if len(self.num.terms) > 1:
             ns = "(" + ns + ")"
-        ds = str(self.den)
+        ds = _format_graded(self.den)
         if len(self.den.terms) > 1:
             ds = "(" + ds + ")"
         return ns + "/" + ds
@@ -338,6 +239,16 @@ def bernoulli(n: int) -> Fraction:
     return -Fraction(1, n + 1) * sum(Fraction(comb(n + 1, k)) * bernoulli(k) for k in range(n))
 
 
+def exp_coefficient(n: int) -> Fraction:
+    """Coefficients 1/n! of e^x."""
+    return Fraction(1, factorial(n))
+
+
+def bernoulli_coefficient(n: int) -> Fraction:
+    """Coefficients B_n/n! of x/(e^x - 1), the regular part of 1/(1 - e^x) times -x."""
+    return bernoulli(n) / factorial(n)
+
+
 @lru_cache(maxsize=None)
 def todd_coefficient(n: int) -> Fraction:
     """Coefficients of x/(1 - e^{-x}), computed by series inversion."""
@@ -356,7 +267,7 @@ def todd_coefficient(n: int) -> Fraction:
 
 
 def tseries_mul(a: dict, b: dict, nmax: int) -> dict:
-    out: dict[int, Poly] = {}
+    out: dict[int, LaurentPoly] = {}
     for na, pa in a.items():
         for nb, pb in b.items():
             n = na + nb
@@ -366,16 +277,17 @@ def tseries_mul(a: dict, b: dict, nmax: int) -> dict:
     return {n: p for n, p in out.items() if not p.is_zero()}
 
 
-def exp_tseries(linear: Poly, nmax: int, scale=None) -> dict:
-    """Series of coeff * e^{t * linear} as {n: linear^n/n! * coeff}."""
+def power_tseries(linear: LaurentPoly, nmax: int, coefficient, scale=None) -> dict:
+    """Series of scale * sum_n a_n (t*linear)^n as {n: a_n*linear^n*scale}, a_n = coefficient(n)."""
     out = {}
-    power = Poly.constant(linear.nvars, 1)
-    fact = Fraction(1)
+    power = LaurentPoly.one(linear.nvars)
     for n in range(nmax + 1):
         if n:
             power = power * linear
-            fact *= n
-        piece = power * (Fraction(1) / fact)
+        a = coefficient(n)
+        if not a:
+            continue
+        piece = power * a
         if scale is not None:
             piece = piece * scale
         if not piece.is_zero():
@@ -383,42 +295,14 @@ def exp_tseries(linear: Poly, nmax: int, scale=None) -> dict:
     return out
 
 
-def bernoulli_tseries(linear: Poly, nmax: int) -> dict:
-    """Series sum_n B_n/n! (t*linear)^n, the regular part of 1/(1-e^{t*linear})."""
-    out = {}
-    power = Poly.constant(linear.nvars, 1)
-    fact = Fraction(1)
-    for n in range(nmax + 1):
-        if n:
-            power = power * linear
-            fact *= n
-        piece = power * (bernoulli(n) / fact)
-        if not piece.is_zero():
-            out[n] = piece
-    return out
-
-
-def todd_tseries(linear: Poly, nmax: int) -> dict:
-    """Series of Todd(t*linear) = (t*linear)/(1 - e^{-t*linear})."""
-    out = {}
-    power = Poly.constant(linear.nvars, 1)
-    for n in range(nmax + 1):
-        if n:
-            power = power * linear
-        piece = power * todd_coefficient(n)
-        if not piece.is_zero():
-            out[n] = piece
-    return out
-
-
-def regular_factor_tseries(c: Cyc, linear: Poly, nmax: int) -> dict:
+def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
     """Series of 1/(1 - c*e^{t*linear}) for c != 1 (regular at t = 0)."""
     a0 = (Cyc.rational(1) - c).inverse()
     # E = e^{t*linear} - 1; expansion a0 * sum_k (c*a0)^k E^k
-    e_series = exp_tseries(linear, nmax)
+    e_series = power_tseries(linear, nmax, exp_coefficient)
     e_series.pop(0, None)
-    out = {0: Poly.constant(linear.nvars, 1)}
-    ek = {0: Poly.constant(linear.nvars, 1)}
+    out = {0: LaurentPoly.one(linear.nvars)}
+    ek = {0: LaurentPoly.one(linear.nvars)}
     ratio = c * a0
     factor = ratio
     for k in range(1, nmax + 1):
@@ -455,16 +339,16 @@ def expand_rational(x, order: int) -> GradedSeries:
         nmax = order + npoles
         series = {}
         for q, c in num.terms.items():
-            lam = Poly.linear(nvars, q)
-            for n, p in exp_tseries(lam, nmax, scale=c).items():
+            for n, p in power_tseries(linear_form(nvars, q), nmax, exp_coefficient, scale=c).items():
                 series[n] = series[n] + p if n in series else p
         for f in poles:
-            series = tseries_mul(series, bernoulli_tseries(Poly.linear(nvars, f.mu), nmax), nmax)
+            pole = power_tseries(linear_form(nvars, f.mu), nmax, bernoulli_coefficient)
+            series = tseries_mul(series, pole, nmax)
         for f in regulars:
-            series = tseries_mul(series, regular_factor_tseries(f.c, Poly.linear(nvars, f.mu), nmax), nmax)
-        den_poly = Poly.constant(nvars, 1)
+            series = tseries_mul(series, regular_factor_tseries(f.c, linear_form(nvars, f.mu), nmax), nmax)
+        den_poly = LaurentPoly.one(nvars)
         for f in poles:
-            den_poly = den_poly * Poly.linear(nvars, f.mu)
+            den_poly = den_poly * linear_form(nvars, f.mu)
         sign = Fraction((-1) ** npoles)
         data = {}
         for n, p in series.items():

@@ -22,7 +22,6 @@ from .exactalg import (
     rational_solve,
 )
 from .exactalg.lp import positive_circuits
-from .exactalg.lp import weights_convex  # noqa: F401  (re-exported API)
 
 Anticone = frozenset  # subsets of {1..m}, 1-based
 

@@ -23,7 +23,6 @@ from .exactalg import (
     GradedSeries,
     IntMatrix,
     LaurentPoly,
-    Poly,
     RatFun,
     RationalCharacter,
     rational_solve,
@@ -32,9 +31,12 @@ from .exactalg import (
 from .exactalg.laurent import exp_apply
 from .exactalg.lp import weights_convex
 from .exactalg.series import (
-    exp_tseries,
+    exp_coefficient,
+    expand_rational,
+    linear_form,
+    power_tseries,
     regular_factor_tseries,
-    todd_tseries,
+    todd_coefficient,
     tseries_mul,
 )
 from .gitdata import GITData, fixed_points, require_valid
@@ -395,7 +397,7 @@ def hrr_rhs(
     def linform(vec):
         if subtorus is not None:
             vec = exp_apply(subtorus, vec)
-        return Poly.linear(nvars, vec)
+        return linear_form(nvars, vec)
 
     total = GradedSeries.zero(nvars, order)
     for fp in fps:
@@ -407,14 +409,15 @@ def hrr_rhs(
             for (u, s), coeff in E.sorted_terms():
                 angle = sum(Fraction(a) * b for a, b in zip(u, g)) % 1
                 zeta = Cyc.root_of_unity(angle) * coeff
-                for n, p in exp_tseries(linform(fp.fiber_exponent(u, s)), nmax, scale=zeta).items():
+                fiber = linform(fp.fiber_exponent(u, s))
+                for n, p in power_tseries(fiber, nmax, exp_coefficient, scale=zeta).items():
                     series[n] = series[n] + p if n in series else p
-            euler = Poly.constant(nvars, 1)
+            euler = LaurentPoly.one(nvars)
             for j in fp.tangent_indices:
                 w = fp.tangent_weights[j]
                 root = linform(tuple(-x for x in w))  # tangent Chern root
                 if angles[j] == 0:
-                    series = tseries_mul(series, todd_tseries(root, nmax), nmax)
+                    series = tseries_mul(series, power_tseries(root, nmax, todd_coefficient), nmax)
                     euler = euler * root
                 else:
                     series = tseries_mul(
@@ -460,8 +463,6 @@ class HRRReport:
 def hrr_check(data: GITData, E: EquivClass, order: int, subtorus=None) -> HRRReport:
     """Expand the localization Euler characteristic and compare it with the
     index-formula series, degree by degree."""
-    from .exactalg.series import expand_rational
-
     chi = euler_characteristic(data, E, subtorus=subtorus)
     lhs = expand_rational(chi, order)
     rhs = hrr_rhs(data, E, order, subtorus=subtorus, check=False)

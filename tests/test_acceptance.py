@@ -22,7 +22,7 @@ from torickit.exactalg import (
     smith_normal_form,
     weights_convex,
 )
-from torickit.exactalg.series import Poly, RatFun
+from torickit.exactalg.series import RatFun
 from torickit.gitdata import GITData, anticones, minimal_anticones, validate
 from torickit.localization import (
     EquivClass,
@@ -73,10 +73,10 @@ def test_criterion_1_hrr_on_affine_plane():
         lhs = expand_rational(chi, 4)
         rhs = hrr_rhs(C2, O, 4, subtorus=DIAG)
         assert lhs.first_mismatch(rhs) is None
-        lam = Poly(1, {(1,): 1})
-        assert lhs.coefficient(-2) == RatFun(Poly.constant(1, 1), lam * lam)
-        assert lhs.coefficient(-1) == RatFun(Poly.constant(1, -1), lam)
-        assert lhs.coefficient(0) == RatFun(Poly.constant(1, Fraction(5, 12)))
+        lam = LaurentPoly(1, {(1,): 1})
+        assert lhs.coefficient(-2) == RatFun(LaurentPoly.one(1), lam * lam)
+        assert lhs.coefficient(-1) == RatFun(-LaurentPoly.one(1), lam)
+        assert lhs.coefficient(0) == RatFun(LaurentPoly.one(1) * Fraction(5, 12))
         assert lhs.coefficient(1) == RatFun(lam * Fraction(-1, 12))
         assert lhs.coefficient(2) == RatFun(lam * lam * Fraction(1, 240))
 

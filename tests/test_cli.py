@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +208,24 @@ def test_fixed_points_rejects_invalid_data_like_euler(capsys, tmp_path, text, fa
         code, out, err = run_cli(capsys, command, "--data", str(path))
         assert code == 2 and out == ""
         assert err == "input error: invalid GIT data: %s\n" % failure
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_graded_series_golden(capsys):
+    # --json output of euler and hrr-check on the built-in examples, keyed by
+    # command line: pins how characters and graded pieces print
+    produced = {}
+    for example, class_args in (
+        ("conifold", ["--class", "O(1)"]),
+        ("kp2", ["--class", "O(1)"]),
+        ("p12", ["--class", "O(1)"]),
+        ("c2-diagonal", []),
+    ):
+        for command, extra in (("euler", []), ("hrr-check", ["--order", "2"])):
+            argv = [command, "--example", example, *class_args, *extra, "--json"]
+            code, out, _ = run_cli(capsys, *argv)
+            produced[" ".join(argv)] = {"exit": code, "output": json.loads(out)}
+    text = json.dumps(produced, indent=2, sort_keys=True) + "\n"
+    assert text.encode("utf-8") == (GOLDEN / "graded_series.json").read_bytes()

@@ -17,8 +17,8 @@ from torickit.gitdata import (
     minimal_anticones,
     same_chamber,
     validate,
-    weights_convex,
 )
+from torickit.exactalg.lp import weights_convex
 from torickit.wallcrossing import make_wall_crossing
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])

@@ -92,3 +92,15 @@ def test_canonical_str():
 def test_mixing_tori_rejected():
     with pytest.raises(ValueError):
         mono((1,)) + mono((1, 0))
+
+
+def test_exponents_compare_by_value():
+    a = LaurentPoly(1, {(1,): 1})
+    b = LaurentPoly(1, {(Fraction(1),): 1})
+    assert a == b and hash(a) == hash(b)
+    s = a + b
+    assert len(s.terms) == 1 and s.coefficient((1,)) == Cyc.rational(2)
+    # int and Fraction entries stay as given; anything else is read as a Fraction
+    assert [type(x) for x in next(iter(a.terms))] == [int]
+    assert [type(x) for x in next(iter(b.terms))] == [Fraction]
+    assert LaurentPoly(2, {("1/2", 1.5): 1}).terms.keys() == {(Fraction(1, 2), Fraction(3, 2))}

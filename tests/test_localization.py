@@ -197,12 +197,12 @@ def test_sections_character_conifold_invariants():
 
 def test_hrr_rhs_c2_diagonal_reference_values():
     s = hrr_rhs(C2, O(C2, 0), 2, subtorus=DIAG)
-    from torickit.exactalg.series import Poly, RatFun
+    from torickit.exactalg.series import RatFun
 
-    lam = Poly(1, {(1,): 1})
-    assert s.coefficient(-2) == RatFun(Poly.constant(1, 1), lam * lam)
-    assert s.coefficient(-1) == RatFun(Poly.constant(1, -1), lam)
-    assert s.coefficient(0) == RatFun(Poly.constant(1, Fraction(5, 12)))
+    lam = LaurentPoly(1, {(1,): 1})
+    assert s.coefficient(-2) == RatFun(LaurentPoly.one(1), lam * lam)
+    assert s.coefficient(-1) == RatFun(-LaurentPoly.one(1), lam)
+    assert s.coefficient(0) == RatFun(LaurentPoly.one(1) * Fraction(5, 12))
     assert s.coefficient(1) == RatFun(lam * Fraction(-1, 12))
     assert s.coefficient(2) == RatFun(lam * lam * Fraction(1, 240))
 

@@ -52,11 +52,16 @@ def test_cli_answers_unchanged_under_python_O(tmp_path):
     argvs = [
         [command, *source, *extra]
         for source in (["--example", "conifold"], ["--data", str(wall)])
-        for command, extra in (("validate", []), ("anticones", []), ("euler", ["--class", "O(1)"]))
+        for command, extra in (
+            ("validate", []),
+            ("anticones", []),
+            ("euler", ["--class", "O(1)"]),
+            ("hrr-check", ["--order", "2"]),
+        )
     ]
     plain, optimized = _run([], argvs), _run(["-O"], argvs)
     assert (plain["optimize"], optimized["optimize"]) == (0, 1)
     assert optimized["results"] == plain["results"]
-    # at omega = 1 all three succeed; at omega = 0 validate reports the failures
-    # and euler refuses the data as an input error
-    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 1, 0, 2]
+    # at omega = 1 all four succeed; at omega = 0 validate reports the failures
+    # and euler and hrr-check refuse the data as an input error
+    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2]
