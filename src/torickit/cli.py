@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 from .errors import InputError, NotAdjacentError, OnWallError
 from .examples import catalog, get_example
-from .gitdata import GITData, anticones, fixed_points, minimal_anticones, require_valid, validate
-from .localization import EquivClass, euler_characteristic, fixed_point_data, hrr_check
+from .exactalg import parse_fraction
+from .gitdata import GITData, anticones, minimal_anticones, validate
+from .localization import EquivClass, euler_characteristic, fixed_point_list, hrr_check
 from .wallcrossing import eta_invariants, extend, make_wall_crossing, partition_M
 from .windows import Window, fm_euler_check, in_window, kn_strata, seven_loci, window_lift, window_weights
 
@@ -47,7 +48,10 @@ class JobSpec:
 
 
 def _parse_vector(text: str):
-    return tuple(x.strip() for x in str(text).split(",")) if str(text).strip() else ()
+    try:
+        return tuple(parse_fraction(x) for x in text.split(",")) if text.strip() else ()
+    except ValueError as exc:
+        raise InputError("bad stability condition %r: %s" % (text, exc)) from None
 
 
 def parse_class(data: GITData, text: str) -> EquivClass:
@@ -132,20 +136,14 @@ def run(job: JobSpec) -> int:
         return 0
 
     if job.command == "fixed-points":
-        require_valid(data)
-        pts = sorted(fixed_points(data), key=lambda s: tuple(sorted(s)))
-        rows = []
-        for delta in pts:
-            fp = fixed_point_data(data, delta)
-            rows.append(
-                {
-                    "delta": sorted(delta),
-                    "group_order": fp.group_order,
-                    "tangent_weights": {
-                        str(j): [str(x) for x in fp.tangent_weights[j]] for j in fp.tangent_indices
-                    },
-                }
-            )
+        rows = [
+            {
+                "delta": list(fp.delta),
+                "group_order": fp.group_order,
+                "tangent_weights": {str(j): [str(x) for x in w] for j, w in fp.tangent_weights.items()},
+            }
+            for fp in fixed_point_list(data)
+        ]
         _emit(rows, job.as_json, "\n".join("delta={%s} |G|=%d" % (",".join(map(str, r["delta"])), r["group_order"]) for r in rows))
         return 0
 

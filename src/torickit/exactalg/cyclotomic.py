@@ -334,4 +334,13 @@ def parse_fraction(text) -> Fraction:
     return Fraction(str(text).strip())
 
 
+def parse_int(text) -> int:
+    """Parse an integral value; a non-integer such as 1.5 raises ValueError
+    instead of being truncated."""
+    q = parse_fraction(text)
+    if q.denominator != 1:
+        raise ValueError("%s is not an integer" % text)
+    return q.numerator
+
+
 _ONE = Cyc(1, [Fraction(1)])

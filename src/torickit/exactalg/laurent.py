@@ -103,6 +103,8 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction, Cyc)):
+            if not other:
+                return LaurentPoly.zero(self.nvars)
             c0 = other if isinstance(other, Cyc) else Cyc.rational(other)
             return LaurentPoly(self.nvars, {q: c * c0 for q, c in self.terms.items()})
         self._check(other)
@@ -156,9 +158,9 @@ class LaurentPoly:
     def all_rational(self) -> bool:
         return all(c.is_rational() for c in self.terms.values())
 
-    def truncate_by(self, functional, bound) -> "LaurentPoly":
-        """Keep monomials whose functional value is at most ``bound``."""
-        return LaurentPoly(self.nvars, {q: c for q, c in self.terms.items() if functional(q) <= bound})
+    def truncate(self, bound) -> "LaurentPoly":
+        """Keep monomials of total degree at most ``bound``."""
+        return LaurentPoly(self.nvars, {q: c for q, c in self.terms.items() if sum(q) <= bound})
 
     # -- substitution and division ------------------------------------------
 

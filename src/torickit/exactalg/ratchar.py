@@ -45,8 +45,6 @@ def _normalize_factors(num: LaurentPoly, factors):
     """Fold constant factors into the numerator; reject identically-zero ones."""
     kept = []
     for f in factors:
-        if not isinstance(f, Factor):
-            f = Factor(f[0] if isinstance(f[0], Cyc) else Cyc.rational(f[0]), tuple(Fraction(x) for x in f[1]))
         if any(f.mu):
             kept.append(f)
         elif f.c == Cyc.rational(1):
@@ -180,35 +178,33 @@ class RationalCharacter:
         num, _ = self.cleared_fraction()
         return num.is_zero()
 
-    def power_series(self, bound, functional=None) -> LaurentPoly:
-        """Geometric expansion keeping monomials of functional value <= bound.
+    def power_series(self, bound) -> LaurentPoly:
+        """Geometric expansion keeping monomials of total degree <= bound.
 
-        Every denominator factor must have strictly positive functional value
-        (default: total exponent degree), which is the regime where the
-        character is an honest power series in the e^{lambda} variables.
+        Every denominator factor must have strictly positive total degree,
+        which is the regime where the character is an honest power series
+        in the e^{lambda} variables.
         """
-        phi = functional or (lambda q: sum(q))
         total = LaurentPoly.zero(self.nvars)
         for num, den in self.terms:
-            part = num.truncate_by(phi, bound)
+            part = num.truncate(bound)
             if part.is_zero():
                 continue
-            # monomials of negative grade in the numerator push the factor
+            # monomials of negative degree in the numerator push the factor
             # expansions correspondingly further
-            reach = bound - min(min(phi(q) for q in part.terms), 0)
+            reach = bound - min(min(sum(q) for q in part.terms), 0)
             for f in den:
-                step = phi(f.mu)
-                if step <= 0:
+                if sum(f.mu) <= 0:
                     raise ValueError("factor %s is not expandable in this grading" % f)
                 terms = {exp_zero(self.nvars): Cyc.rational(1)}
                 acc_mu, acc_c = f.mu, f.c
-                while phi(acc_mu) <= reach:
+                while sum(acc_mu) <= reach:
                     terms[acc_mu] = acc_c
                     acc_mu = tuple(a + b for a, b in zip(acc_mu, f.mu))
                     acc_c = acc_c * f.c
-                part = (part * LaurentPoly(self.nvars, terms)).truncate_by(phi, bound)
+                part = (part * LaurentPoly(self.nvars, terms)).truncate(bound)
             total = total + part
-        return total.truncate_by(phi, bound)
+        return total.truncate(bound)
 
     # -- comparison and rendering ----------------------------------------------
 

@@ -21,6 +21,7 @@ from .exactalg import (
     rational_inverse,
     rational_solve,
 )
+from .exactalg.cyclotomic import parse_int
 from .exactalg.lp import positive_circuits
 
 Anticone = frozenset  # subsets of {1..m}, 1-based
@@ -45,7 +46,7 @@ class GITData:
 
     @staticmethod
     def make(r: int, weights, omega) -> "GITData":
-        weights = tuple(tuple(int(x) for x in w) for w in weights)
+        weights = tuple(tuple(parse_int(x) for x in w) for w in weights)
         omega = tuple(parse_fraction(x) for x in omega)
         return GITData(r, len(weights), weights, omega)
 
@@ -80,10 +81,11 @@ class GITData:
             if field not in obj:
                 raise InputError("GIT data is missing field '%s'" % field)
         try:
-            data = GITData.make(int(obj["r"]), obj["weights"], obj["omega"])
+            data = GITData.make(parse_int(obj["r"]), obj["weights"], obj["omega"])
+            m = parse_int(obj["m"])
         except (TypeError, ValueError) as exc:
             raise InputError("bad GIT data: %s" % exc) from exc
-        if data.m != int(obj["m"]):
+        if data.m != m:
             raise InputError("field 'm' does not match the number of characters")
         return data
 

@@ -12,9 +12,9 @@ of the normal directions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import lcm, prod
 
 from .errors import ConvergenceError, InputError
 from .exactalg import (
@@ -25,9 +25,10 @@ from .exactalg import (
     LaurentPoly,
     RatFun,
     RationalCharacter,
-    rational_solve,
+    rational_inverse,
     smith_normal_form,
 )
+from .exactalg.cyclotomic import parse_int
 from .exactalg.laurent import exp_apply
 from .exactalg.lp import weights_convex
 from .exactalg.series import (
@@ -137,9 +138,12 @@ class EquivClass:
             unknown = set(entry) - {"u", "s", "coeff"}
             if unknown:
                 raise InputError("unknown fields in class spec: %s" % ", ".join(sorted(unknown)))
-            u = tuple(int(x) for x in entry["u"])
-            s = tuple(int(x) for x in entry.get("s", [0] * m))
-            coeff = int(entry.get("coeff", 1))
+            try:
+                u = tuple(parse_int(x) for x in entry["u"])
+                s = tuple(parse_int(x) for x in entry.get("s", [0] * m))
+                coeff = parse_int(entry.get("coeff", 1))
+            except (TypeError, ValueError) as exc:
+                raise InputError("bad class spec entry: %s" % exc) from None
             key = (u, s)
             terms[key] = terms.get(key, 0) + coeff
         return EquivClass(r, m, terms)
@@ -158,29 +162,43 @@ class EquivClass:
 
 @dataclass(frozen=True)
 class FixedPointData:
-    """Isotropy and tangent data of the fixed point attached to an anticone."""
+    """Isotropy and tangent data of the fixed point attached to an anticone.
+
+    Every weight here reads one solve, the rows ``inverse`` of D_delta^-1:
+    a gauge character u has the coordinates ``inverse`` . u in the
+    delta-basis.  The tangent data is derived from it on construction.
+    """
 
     data: GITData
     delta: tuple[int, ...]
+    inverse: tuple[tuple[Fraction, ...], ...]
     group_order: int
     group_elements: tuple[tuple[Fraction, ...], ...]
-    tangent_indices: tuple[int, ...]
-    tangent_coeffs: dict
-    tangent_weights: dict
-    eigen_angles: tuple
+    tangent_indices: tuple[int, ...] = field(init=False)
+    tangent_weights: dict = field(init=False)
+    eigen_angles: tuple = field(init=False)
 
-    def angles(self, g_index: int):
-        """Eigen-angle of each tangent coordinate for one isotropy element."""
-        return dict(zip(self.tangent_indices, self.eigen_angles[g_index]))
+    def __post_init__(self):
+        data = self.data
+        tangent = tuple(j for j in range(1, data.m + 1) if j not in self.delta)
+        # the tangent coordinate j has the weight of the line class (-D_j, e_j)
+        weights = {
+            j: self.fiber_exponent([-x for x in data.character(j)], [int(k == j) for k in range(1, data.m + 1)])
+            for j in tangent
+        }
+        angles = tuple(
+            tuple((-sum(Fraction(d) * x for d, x in zip(data.character(j), g))) % 1 for j in tangent)
+            for g in self.group_elements
+        )
+        object.__setattr__(self, "tangent_indices", tangent)
+        object.__setattr__(self, "tangent_weights", weights)
+        object.__setattr__(self, "eigen_angles", angles)
 
     def fiber_exponent(self, u, s) -> tuple:
         """Weight of the line class (u, s) at this fixed point, length-m exponent."""
-        coeffs = rational_solve(self.data.submatrix_columns(self.delta), u)
-        if coeffs is None:
-            raise InputError("gauge character does not lie in the delta-span")
         exp = [Fraction(x) for x in s]
-        for c, i in zip(coeffs, sorted(self.delta)):
-            exp[i - 1] += c
+        for row, i in zip(self.inverse, self.delta):
+            exp[i - 1] += sum(a * b for a, b in zip(row, u))
         return tuple(exp)
 
 
@@ -192,12 +210,14 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
     cols = data.submatrix_columns(delta)
     r = data.r
     # group elements: v in Q^r / Z^r with D_delta^T v integral, via Smith
-    # form; the group order is the product of the diagonal, |det D_delta|
+    # form; the group order is the product of the diagonal, |det D_delta|,
+    # so D_delta is invertible once the diagonal is nonzero
     _, s, v = smith_normal_form(IntMatrix.from_rows(cols))
     diag = [s[(k, k)] for k in range(r)]
     if 0 in diag:
         raise InputError("delta-columns are degenerate")
-    if not all(x > 0 for x in rational_solve(cols, data.omega)):
+    inverse = tuple(map(tuple, rational_inverse([[c[i] for c in cols] for i in range(r)])))
+    if not all(sum(a * b for a, b in zip(row, data.omega)) > 0 for row in inverse):
         raise InputError("{%s} is not an anticone for this stability condition" % ",".join(map(str, delta)))
     order = prod(diag)
     elements = set()
@@ -209,36 +229,16 @@ def fixed_point_data(data: GITData, delta) -> FixedPointData:
         elements.add(vec)
     if len(elements) != order:
         raise AssertionError("isotropy enumeration does not match the Smith diagonal")
-    elements = tuple(sorted(elements))
-
-    tangent = tuple(j for j in range(1, data.m + 1) if j not in delta)
-    coeffs = {}
-    weights = {}
-    for j in tangent:
-        c = rational_solve(cols, data.character(j))
-        if c is None:
-            raise AssertionError("delta-columns span by the validity assumption")
-        coeffs[j] = tuple(c)
-        w = [Fraction(0)] * data.m
-        w[j - 1] = Fraction(1)
-        for ci, i in zip(c, delta):
-            w[i - 1] -= ci
-        weights[j] = tuple(w)
-    angles = tuple(
-        tuple((-sum(Fraction(d) * x for d, x in zip(data.character(j), vel))) % 1 for j in tangent)
-        for vel in elements
-    )
-    return FixedPointData(data, delta, order, elements, tangent, coeffs, weights, angles)
+    return FixedPointData(data, delta, inverse, order, tuple(sorted(elements)))
 
 
-def restrict(E: EquivClass, fp: FixedPointData, g) -> LaurentPoly:
-    """Trace of (g, e^lambda) on the fiber of E at the fixed point.
+def restrict(E: EquivClass, fp: FixedPointData, gi: int) -> LaurentPoly:
+    """Trace of (g, e^lambda) on the fiber of E at the fixed point, where g is
+    the isotropy element of index ``gi``.
 
-    ``g`` is a group element (a vector of fractions) or its index.  Each
-    line class (u, s) contributes a root-of-unity times one monomial.
+    Each line class (u, s) contributes a root of unity times one monomial.
     """
-    if isinstance(g, int):
-        g = fp.group_elements[g]
+    g = fp.group_elements[gi]
     out = LaurentPoly.zero(fp.data.m)
     for (u, s), coeff in E.sorted_terms():
         angle = sum(Fraction(a) * b for a, b in zip(u, g)) % 1
@@ -247,30 +247,33 @@ def restrict(E: EquivClass, fp: FixedPointData, g) -> LaurentPoly:
     return out
 
 
-def _certificate(fps, subtorus):
-    for fp in fps:
-        ws = [fp.tangent_weights[j] for j in fp.tangent_indices]
-        if subtorus is not None:
-            ws = [exp_apply(subtorus, w) for w in ws]
-        if not weights_convex(ws):
-            raise ConvergenceError(
-                "tangent weights at fixed point {%s} are not strictly convex"
-                % ",".join(map(str, fp.delta))
-            )
+def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
+    """Validate the data and return the data of every fixed point, in the
+    order of the sorted anticones.
+
+    With a ``subtorus`` the restricted tangent weights at every fixed point
+    must pass the strict-convexity test, which is what rules out
+    specializations with infinite-dimensional weight spaces.  On the whole
+    torus the test always passes: w_j is 1 at coordinate j and 0 at the
+    other tangent coordinates, so their sum is positive on every w_j.
+    """
+    require_valid(data)
+    fps = [fixed_point_data(data, d) for d in sorted(fixed_points(data), key=lambda s: tuple(sorted(s)))]
+    if subtorus is not None:
+        for fp in fps:
+            if not weights_convex([exp_apply(subtorus, fp.tangent_weights[j]) for j in fp.tangent_indices]):
+                raise ConvergenceError(
+                    "tangent weights at fixed point {%s} are not strictly convex" % ",".join(map(str, fp.delta))
+                )
+    return fps
 
 
-def _all_fixed_point_data(data: GITData):
-    return [fixed_point_data(data, d) for d in sorted(fixed_points(data), key=lambda s: tuple(sorted(s)))]
+def _check_shape(data: GITData, E: EquivClass):
+    if E.r != data.r or E.m != data.m:
+        raise InputError("class shape does not match the GIT data")
 
 
-def euler_characteristic(
-    data: GITData,
-    E: EquivClass,
-    subtorus=None,
-    certify: bool = True,
-    check: bool = True,
-    collapse: bool = False,
-) -> RationalCharacter:
+def euler_characteristic(data: GITData, E: EquivClass, subtorus=None, collapse: bool = False) -> RationalCharacter:
     """The equivariant Euler characteristic of E as a rational character.
 
     Sums, over fixed points delta and isotropy elements g, the fiber trace
@@ -281,70 +284,49 @@ def euler_characteristic(
     cheaper to compare against other characters.
 
     ``subtorus`` restricts the answer to a subtorus (exponents q become
-    A^T q); with ``certify`` the tangent weights at every fixed point must
-    pass the strict-convexity test, which is what rules out specializations
-    with infinite-dimensional weight spaces.
+    A^T q) once the tangent weights pass the test of ``fixed_point_list``.
     """
-    if E.r != data.r or E.m != data.m:
-        raise InputError("class shape does not match the GIT data")
-    if check:
-        require_valid(data)
-    fps = _all_fixed_point_data(data)
-    if certify:
-        _certificate(fps, subtorus)
+    _check_shape(data, E)
+    return _localization_sum(fixed_point_list(data, subtorus), E, subtorus, collapse)
+
+
+def _localization_sum(fps, E: EquivClass, subtorus, collapse: bool) -> RationalCharacter:
     terms = []
     for fp in fps:
+        weights = [fp.tangent_weights[j] for j in fp.tangent_indices]
         if collapse:
-            terms.extend(_collapsed_terms(fp, E))
-        else:
-            scale = Fraction(1, fp.group_order)
-            for gi, g in enumerate(fp.group_elements):
-                num = restrict(E, fp, g) * scale
-                factors = [
-                    Factor(Cyc.root_of_unity(theta), fp.tangent_weights[j])
-                    for j, theta in fp.angles(gi).items()
-                ]
-                terms.append((num, factors))
-    chi = RationalCharacter(data.m, terms)
-    if subtorus is not None:
-        chi = chi.specialize(subtorus)
-    return chi
+            terms.append(_collapsed_term(fp, E, weights))
+            continue
+        for gi, angles in enumerate(fp.eigen_angles):
+            factors = [Factor(Cyc.root_of_unity(theta), w) for theta, w in zip(angles, weights)]
+            terms.append((restrict(E, fp, gi) * Fraction(1, fp.group_order), factors))
+    chi = RationalCharacter(E.m, terms)
+    return chi if subtorus is None else chi.specialize(subtorus)
 
 
-def _collapsed_terms(fp: FixedPointData, E: EquivClass):
-    """One fraction per fixed point: the isotropy average with the
+def _collapsed_term(fp: FixedPointData, E: EquivClass, weights):
+    """One fraction for the fixed point: the isotropy average with the
     root-of-unity orbit of each tangent factor multiplied out."""
-    m = fp.data.m
-    orders = {}
-    for j_idx, j in enumerate(fp.tangent_indices):
-        mj = 1
-        for gi in range(fp.group_order):
-            theta = fp.eigen_angles[gi][j_idx]
-            mj = mj * theta.denominator // gcd(mj, theta.denominator)
-        orders[j] = mj
+    m, order = fp.data.m, fp.group_order
+    # the orbit of direction j has the lcm of its eigen-angle denominators
+    orbits = [lcm(*(theta.denominator for theta in column)) for column in zip(*fp.eigen_angles)]
     numerator = LaurentPoly.zero(m)
-    for gi in range(fp.group_order):
+    for gi, angles in enumerate(fp.eigen_angles):
         part = restrict(E, fp, gi)
-        for j_idx, j in enumerate(fp.tangent_indices):
-            w = fp.tangent_weights[j]
-            mj = orders[j]
-            theta = fp.eigen_angles[gi][j_idx]
+        for theta, w, mj in zip(angles, weights, orbits):
             big = Factor(Cyc.rational(1), tuple(mj * x for x in w)).as_poly(m)
-            for _ in range(fp.group_order // mj - 1):
+            for _ in range(order // mj - 1):
                 part = part * big
             for k in range(1, mj):
-                other = Cyc.root_of_unity(theta + Fraction(k, mj))
-                part = part * Factor(other, w).as_poly(m)
+                part = part * Factor(Cyc.root_of_unity(theta + Fraction(k, mj)), w).as_poly(m)
         numerator = numerator + part
-    numerator = numerator * Fraction(1, fp.group_order)
+    numerator = numerator * Fraction(1, order)
     if not numerator.all_rational():
         raise AssertionError("isotropy average must have rational coefficients")
-    factors = []
-    for j in fp.tangent_indices:
-        w = fp.tangent_weights[j]
-        mj = orders[j]
-        factors.extend([Factor(Cyc.rational(1), tuple(mj * x for x in w))] * (fp.group_order // mj))
-    return [(numerator, factors)]
+    factors = [
+        Factor(Cyc.rational(1), tuple(mj * x for x in w)) for w, mj in zip(weights, orbits) for _ in range(order // mj)
+    ]
+    return numerator, factors
 
 
 def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
@@ -369,30 +351,21 @@ def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
     return LaurentPoly(data.m, out)
 
 
-def hrr_rhs(
-    data: GITData,
-    E: EquivClass,
-    order: int,
-    subtorus=None,
-    certify: bool = True,
-    check: bool = True,
-) -> GradedSeries:
+def hrr_rhs(data: GITData, E: EquivClass, order: int, subtorus=None) -> GradedSeries:
     """Graded expansion of the index predicted by the fixed-point formula.
 
     Per fixed point and isotropy element: the twisted Chern character of E
-    (roots of unity times exponentials of the fiber weights), times the
-    Todd factor of every untwisted normal direction and a twisted geometric
-    factor for the others, divided by the equivariant Euler class of the
-    untwisted directions.
+    (the fiber trace of ``restrict`` with each e^q read as exp(q.lambda)),
+    times the Todd factor of every untwisted normal direction and a twisted
+    geometric factor for the others, divided by the equivariant Euler class
+    of the untwisted directions.
     """
-    if E.r != data.r or E.m != data.m:
-        raise InputError("class shape does not match the GIT data")
-    if check:
-        require_valid(data)
-    fps = _all_fixed_point_data(data)
-    if certify:
-        _certificate(fps, subtorus)
-    nvars = len(subtorus[0]) if subtorus is not None else data.m
+    _check_shape(data, E)
+    return _index_series(fixed_point_list(data, subtorus), E, order, subtorus)
+
+
+def _index_series(fps, E: EquivClass, order: int, subtorus) -> GradedSeries:
+    nvars = len(subtorus[0]) if subtorus is not None else E.m
 
     def linform(vec):
         if subtorus is not None:
@@ -401,36 +374,26 @@ def hrr_rhs(
 
     total = GradedSeries.zero(nvars, order)
     for fp in fps:
-        for gi, g in enumerate(fp.group_elements):
-            angles = fp.angles(gi)
-            zero_dirs = [j for j in fp.tangent_indices if angles[j] == 0]
-            nmax = order + len(zero_dirs)
+        for gi, angles in enumerate(fp.eigen_angles):
+            shift = angles.count(0)  # untwisted directions
+            nmax = order + shift
             series = {}
-            for (u, s), coeff in E.sorted_terms():
-                angle = sum(Fraction(a) * b for a, b in zip(u, g)) % 1
-                zeta = Cyc.root_of_unity(angle) * coeff
-                fiber = linform(fp.fiber_exponent(u, s))
-                for n, p in power_tseries(fiber, nmax, exp_coefficient, scale=zeta).items():
+            for q, zeta in restrict(E, fp, gi).terms.items():
+                for n, p in power_tseries(linform(q), nmax, exp_coefficient, scale=zeta).items():
                     series[n] = series[n] + p if n in series else p
             euler = LaurentPoly.one(nvars)
-            for j in fp.tangent_indices:
+            for theta, j in zip(angles, fp.tangent_indices):
                 w = fp.tangent_weights[j]
-                root = linform(tuple(-x for x in w))  # tangent Chern root
-                if angles[j] == 0:
+                if theta == 0:
+                    root = linform(tuple(-x for x in w))  # tangent Chern root
                     series = tseries_mul(series, power_tseries(root, nmax, todd_coefficient), nmax)
                     euler = euler * root
                 else:
-                    series = tseries_mul(
-                        series,
-                        regular_factor_tseries(Cyc.root_of_unity(angles[j]), linform(w), nmax),
-                        nmax,
-                    )
-            shift = len(zero_dirs)
+                    factor = regular_factor_tseries(Cyc.root_of_unity(theta), linform(w), nmax)
+                    series = tseries_mul(series, factor, nmax)
             scale = Fraction(1, fp.group_order)
-            data_out = {
-                n - shift: RatFun(p * scale, euler) for n, p in series.items() if n - shift <= order
-            }
-            total = total + GradedSeries(nvars, order, data_out)
+            pieces = {n - shift: RatFun(p * scale, euler) for n, p in series.items() if n - shift <= order}
+            total = total + GradedSeries(nvars, order, pieces)
     return total
 
 
@@ -462,9 +425,11 @@ class HRRReport:
 
 def hrr_check(data: GITData, E: EquivClass, order: int, subtorus=None) -> HRRReport:
     """Expand the localization Euler characteristic and compare it with the
-    index-formula series, degree by degree."""
-    chi = euler_characteristic(data, E, subtorus=subtorus)
-    lhs = expand_rational(chi, order)
-    rhs = hrr_rhs(data, E, order, subtorus=subtorus, check=False)
+    index-formula series, degree by degree; both sides read one fixed-point
+    list."""
+    _check_shape(data, E)
+    fps = fixed_point_list(data, subtorus)
+    lhs = expand_rational(_localization_sum(fps, E, subtorus, collapse=False), order)
+    rhs = _index_series(fps, E, order, subtorus)
     mismatch = lhs.first_mismatch(rhs)
     return HRRReport(lhs, rhs, mismatch is None, mismatch)

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 from .errors import InputError, NonCrepantError, WindowLiftError
 from .exactalg import RationalCharacter, rat_equal
-from .gitdata import GITData, SemistableLocus, minimal_anticones
-from .localization import EquivClass, euler_characteristic, restrict, _all_fixed_point_data
+from .gitdata import SemistableLocus, minimal_anticones
+from .localization import EquivClass, euler_characteristic, fixed_point_list, restrict
 from .wallcrossing import (
     ExtendedGIT,
     WallCrossing,
@@ -185,12 +185,9 @@ def _koszul_product(wc: WallCrossing) -> EquivClass:
     return product
 
 
-def _vanishes_on(data: GITData, E: EquivClass) -> bool:
-    for fp in _all_fixed_point_data(data):
-        for gi in range(fp.group_order):
-            if not restrict(E, fp, gi).is_zero():
-                return False
-    return True
+def _vanishes_on(fps, E: EquivClass) -> bool:
+    """Does E restrict to zero at every fixed point and isotropy element?"""
+    return all(restrict(E, fp, gi).is_zero() for fp in fps for gi in range(fp.group_order))
 
 
 def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
@@ -220,8 +217,8 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
         raise InputError("class does not live on the base data")
     eta = eta_invariants(wc)[0]
     relation = _koszul_product(wc)
-    data_minus = wc.data_minus
-    if not _vanishes_on(data_minus, relation):
+    fps = fixed_point_list(wc.data_minus)
+    if not _vanishes_on(fps, relation):
         raise WindowLiftError("Koszul relation does not vanish on the minus side")
     sign = 1 if len(unstable_koszul_classes(wc)) % 2 == 0 else -1
     shift_u = tuple(sum(wc.base.character(i)[k] for i in sorted(partition_M(wc)[2])) for k in range(wc.base.r))
@@ -248,18 +245,15 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
                 current = current - c_class.tensor(relation)
     if any(not base <= weight(u) < base + eta for u, _ in current.terms):
         raise WindowLiftError("window lift left a weight outside [%d, %d)" % (base, base + eta))
-
-    for fp in _all_fixed_point_data(data_minus):
-        for gi in range(fp.group_order):
-            if restrict(current, fp, gi) != restrict(E, fp, gi):
-                raise WindowLiftError("lift changed a fixed-point restriction")
+    if not _vanishes_on(fps, current - E):
+        raise WindowLiftError("lift changed a fixed-point restriction")
     return current
 
 
 def lifts_agree(wc: WallCrossing, a: EquivClass, b: EquivClass) -> bool:
     """Two lifts define the same window class when their difference has
     vanishing restriction at every minus-side fixed point."""
-    return _vanishes_on(wc.data_minus, a - b)
+    return _vanishes_on(fixed_point_list(wc.data_minus), a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -311,10 +305,6 @@ def fm_euler_check(
     # inclusion of the base torus
     m = wc.base.m
     drop = [[1 if i == j else 0 for j in range(m)] for i in range(m)] + [[0] * m]
-    chi_res = euler_characteristic(
-        ext.data_tilde, pulled, subtorus=drop, collapse=True, check=False
-    )
-    chi_plus = euler_characteristic(
-        wc.data_plus, lifted.tensor(M), collapse=True, check=False
-    )
+    chi_res = euler_characteristic(ext.data_tilde, pulled, subtorus=drop, collapse=True)
+    chi_plus = euler_characteristic(wc.data_plus, lifted.tensor(M), collapse=True)
     return FMReport(rat_equal(chi_res, chi_plus), chi_res, chi_plus)

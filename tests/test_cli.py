@@ -210,6 +210,23 @@ def test_fixed_points_rejects_invalid_data_like_euler(capsys, tmp_path, text, fa
         assert err == "input error: invalid GIT data: %s\n" % failure
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["anticones", "--data", "{data}"],
+        ["euler", "--example", "conifold", "--class", '[{{"u": [1.5]}}]'],
+        ["euler", "--example", "conifold", "--class", '[{{"u": ["x"]}}]'],
+        ["wallcross", "--example", "conifold", "--omega-plus", "abc"],
+    ],
+    ids=["fractional-weight", "fractional-class", "non-numeric-class", "non-numeric-omega"],
+)
+def test_malformed_number_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "data.json"
+    path.write_text('{"r": 1, "m": 2, "weights": [[1.5], [2]], "omega": ["1"]}')
+    code, out, err = run_cli(capsys, *[a.format(data=path) for a in argv])
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 

@@ -79,7 +79,7 @@ def test_divide_exact_laurent_quotient():
 
 def test_truncate_by():
     p = mono((1, 0)) + mono((2, 1)) + mono((0, 0))
-    t = p.truncate_by(lambda q: sum(q), 1)
+    t = p.truncate(1)
     assert t == mono((1, 0)) + mono((0, 0))
 
 
@@ -104,3 +104,19 @@ def test_exponents_compare_by_value():
     assert [type(x) for x in next(iter(a.terms))] == [int]
     assert [type(x) for x in next(iter(b.terms))] == [Fraction]
     assert LaurentPoly(2, {("1/2", 1.5): 1}).terms.keys() == {(Fraction(1, 2), Fraction(3, 2))}
+
+
+def test_zero_scalar_product_builds_no_coefficients(monkeypatch):
+    p = mono((1, 0), 2) + mono((0, 1), Fraction(1, 3)) + mono((1, 1), Cyc.root_of_unity(Fraction(1, 3)))
+    built = []
+    init = Cyc.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cyc, "__init__", counting)
+    for zero in (0, Fraction(0), Cyc.rational(0)):
+        built.clear()
+        assert (p * zero).is_zero() and (zero * p).is_zero()
+        assert built == []

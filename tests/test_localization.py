@@ -253,3 +253,19 @@ def test_hrr_report_shape():
     d = rep.to_json_dict()
     assert d["equal"] is True and d["first_mismatch_degree"] is None
     assert "MATCH" in str(rep)
+
+
+def test_hrr_check_builds_each_fixed_point_once(monkeypatch):
+    # both sides of the comparison read one fixed-point list
+    import torickit.localization as localization
+
+    calls = []
+    build = localization.fixed_point_data
+
+    def counting(data, delta):
+        calls.append(tuple(sorted(delta)))
+        return build(data, delta)
+
+    monkeypatch.setattr(localization, "fixed_point_data", counting)
+    assert hrr_check(P12, O(P12, 1), 2).equal
+    assert calls == [(1,), (2,)]

@@ -1,14 +1,17 @@
 """Guards on how the package is written and run: no ``assert`` statements in
-the sources, and the same answers with ``python -O``, which strips them."""
+the sources, the same answers with ``python -O``, which strips them, and the
+layer modules the benchmark traces still exist."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 # Runs each argv through the CLI in one process and prints, as JSON, the
 # optimisation flag and (exit code, stdout, stderr) per argv.
@@ -65,3 +68,17 @@ def test_cli_answers_unchanged_under_python_O(tmp_path):
     # at omega = 1 all four succeed; at omega = 0 validate reports the failures
     # and euler and hrr-check refuse the data as an input error
     assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2]
+
+
+def test_benchmark_layer_modules_import():
+    # benchmark/tracing.py looks each layer module up in sys.modules, so a
+    # deleted or renamed module would fail the benchmark run
+    tree = ast.parse((ROOT / "benchmark" / "tracing.py").read_text())
+    modules = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYER_MODULES" for t in node.targets)
+    )
+    assert len(modules) >= 10
+    for name in modules:
+        assert importlib.import_module(name).__name__ == name

@@ -425,9 +425,8 @@ def test_pullbacks_reduce_on_both_sides():
                 ext.data_tilde.with_omega(ext.omega_minus if side == "-" else ext.omega_plus),
                 pullback_class(ext, side, O(a)),
                 collapse=True,
-                check=False,
             )
-            rhs = euler_characteristic(data, O(a), collapse=True, check=False).specialize(
+            rhs = euler_characteristic(data, O(a), collapse=True).specialize(
                 ext.substitution(side)
             )
             assert rat_equal(lhs, rhs)
