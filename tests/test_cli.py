@@ -246,3 +246,22 @@ def test_graded_series_golden(capsys):
             produced[" ".join(argv)] = {"exit": code, "output": json.loads(out)}
     text = json.dumps(produced, indent=2, sort_keys=True) + "\n"
     assert text.encode("utf-8") == (GOLDEN / "graded_series.json").read_bytes()
+
+
+def _fm_golden_text(capsys) -> str:
+    produced = {}
+    for argv in (
+        ["fm-check", "--example", "kp2", "--L", "O(1)", "--M", "O(0)", "--json"],
+        ["fm-check", "--example", "conifold", "--L", "O(1)", "--M", "O(-1)", "--json"],
+        ["windows", "--example", "kp2", "--check-fm", "O(1)", "O(0)", "--json"],
+        ["windows", "--example", "conifold", "--check-fm", "O(1)", "O(-1)", "--json"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        produced[" ".join(argv)] = {"exit": code, "output": json.loads(out)}
+    return json.dumps(produced, indent=2, sort_keys=True) + "\n"
+
+
+def test_fm_check_golden(capsys):
+    # --json output of fm-check and windows --check-fm: pins how the two
+    # collapsed localization characters print
+    assert _fm_golden_text(capsys).encode("utf-8") == (GOLDEN / "fm_check.json").read_bytes()
