@@ -149,8 +149,7 @@ def run(job: JobSpec) -> int:
 
     if job.command == "euler":
         chi = euler_characteristic(data, job.class_spec, subtorus=job.subtorus)
-        cleared_num, _ = chi.cleared_fraction()
-        payload = {"character": str(chi), "rational_after_clearing": cleared_num.all_rational()}
+        payload = {"character": str(chi), "rational_after_clearing": chi.cleared_numerator().all_rational()}
         _emit(payload, job.as_json, str(chi))
         return 0
 

@@ -133,7 +133,7 @@ class Cyc:
 
     @staticmethod
     def rational(value) -> "Cyc":
-        return Cyc(1, [Fraction(value)])
+        return _rational(value)
 
     @staticmethod
     def root_of_unity(theta) -> "Cyc":
@@ -184,7 +184,7 @@ class Cyc:
         if other is NotImplemented:
             return NotImplemented
         if self.n == 1 and other.n == 1:
-            return Cyc(1, [self.coeffs[0] + other.coeffs[0]])
+            return _rational(self.coeffs[0] + other.coeffs[0])
         n = self.n * other.n // gcd(self.n, other.n)
         a, b = self._promoted(n), other._promoted(n)
         return Cyc(n, [x + y for x, y in zip(a, b)])
@@ -192,7 +192,7 @@ class Cyc:
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.n, [-c for c in self.coeffs])
+        return _reduced(self.n, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -207,14 +207,10 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.n == 1 and other.n == 1:
-            return Cyc(1, [self.coeffs[0] * other.coeffs[0]])
-        if self.n == 1:
-            q = self.coeffs[0]
-            return Cyc(other.n, [q * c for c in other.coeffs])
-        if other.n == 1:
-            q = other.coeffs[0]
-            return Cyc(self.n, [q * c for c in self.coeffs])
+        if self.n == 1 or other.n == 1:
+            # a nonzero rational multiple keeps the conductor and the reduction
+            q, c = (self.coeffs[0], other) if self.n == 1 else (other.coeffs[0], self)
+            return _reduced(c.n, tuple(q * x for x in c.coeffs)) if q else _rational(q)
         n = self.n * other.n // gcd(self.n, other.n)
         a, b = self._promoted(n), other._promoted(n)
         prod = [Fraction(0)] * (len(a) + len(b) - 1)
@@ -231,7 +227,7 @@ class Cyc:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic value")
         if self.n == 1:
-            return Cyc(1, [1 / self.coeffs[0]])
+            return _rational(1 / self.coeffs[0])
         # extended Euclid: u*self + v*Phi_n = 1 in Q[z]
         mod = list(cyclotomic_polynomial(self.n))
         r0, r1 = mod, [c for c in self.coeffs]
@@ -314,12 +310,21 @@ class Cyc:
         return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
 
+def _reduced(n: int, coeffs: tuple) -> Cyc:
+    """A value already reduced modulo Phi_n and at minimal conductor, as is."""
+    out = Cyc.__new__(Cyc)
+    out.n, out.coeffs, out._hash = n, coeffs, None
+    return out
+
+
+def _rational(value) -> Cyc:
+    return _reduced(1, (value if type(value) is Fraction else Fraction(value),))
+
+
 def _coerce(value):
     if isinstance(value, Cyc):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Cyc(1, [Fraction(value)])
-    return NotImplemented
+    return _rational(value) if isinstance(value, (int, Fraction)) else NotImplemented
 
 
 def format_fraction(q: Fraction) -> str:

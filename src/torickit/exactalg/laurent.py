@@ -21,6 +21,11 @@ def as_exponent(q) -> Exponent:
     """Keep int and Fraction entries as they are; read anything else as a Fraction."""
     return tuple(x if isinstance(x, (int, Fraction)) else Fraction(x) for x in q)
 
+def exp_entry(x):
+    """An integral entry as ``int``, a fractional one as it is: integer keys
+    hash and add without Fraction arithmetic."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
 def exp_zero(nvars: int) -> Exponent:
     return (0,) * nvars
 
@@ -32,12 +37,12 @@ def exp_apply(matrix, a: Exponent) -> Exponent:
     if len(matrix) != len(a):
         raise ValueError("substitution matrix has %d rows, exponent has %d entries" % (len(matrix), len(a)))
     width = len(matrix[0]) if matrix else 0
-    out = [Fraction(0)] * width
+    out = [0] * width
     for qi, row in zip(a, matrix):
         if qi:
             for j, v in enumerate(row):
-                out[j] += qi * Fraction(v)
-    return tuple(out)
+                out[j] += qi * v
+    return tuple(map(exp_entry, out))
 
 def format_exponent(q: Exponent) -> str:
     return "e[" + ",".join(format_fraction(Fraction(x)) for x in q) + "]"

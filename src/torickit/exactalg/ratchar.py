@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .laurent import LaurentPoly, exp_apply, exp_zero, format_exponent
+from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero, format_exponent
 
 
 class DenominatorCollapseError(ValueError):
@@ -31,6 +31,17 @@ class Factor:
 
     def as_poly(self, nvars: int) -> LaurentPoly:
         return LaurentPoly(nvars, {exp_zero(nvars): Cyc.rational(1), self.mu: -self.c})
+
+    def times(self, p: LaurentPoly, k: int = 1) -> LaurentPoly:
+        """p * (this factor)^k, each time as p - c * p * e^mu: a shift and a
+        subtraction, with no coefficient product when c = 1."""
+        minus_c = None if self.c == 1 else -self.c
+        for _ in range(k):
+            shifted = LaurentPoly.__new__(LaurentPoly)
+            shifted.nvars = p.nvars
+            shifted.terms = {exp_add(q, self.mu): -a if minus_c is None else a * minus_c for q, a in p.terms.items()}
+            p = p + shifted
+        return p
 
     def __str__(self):
         cs = str(self.c)
@@ -137,33 +148,27 @@ class RationalCharacter:
         """Multiset (factor -> max multiplicity over terms) of all factors."""
         common: dict[Factor, int] = {}
         for _, den in self.terms:
-            counts: dict[Factor, int] = {}
             for f in den:
-                counts[f] = counts.get(f, 0) + 1
-            for f, k in counts.items():
-                if common.get(f, 0) < k:
-                    common[f] = k
+                common[f] = max(common.get(f, 0), den.count(f))
         return common
+
+    def cleared_numerator(self) -> LaurentPoly:
+        """The single numerator over the common denominator of
+        ``denominator_factors``, without expanding that denominator."""
+        common = self.denominator_factors()
+        total = LaurentPoly.zero(self.nvars)
+        for num, den in self.terms:
+            for f, k in common.items():
+                num = f.times(num, k - den.count(f))
+            total = total + num
+        return total
 
     def cleared_fraction(self) -> tuple[LaurentPoly, LaurentPoly]:
         """Single numerator and expanded common denominator (no reduction)."""
-        common = self.denominator_factors()
-        num_total = LaurentPoly.zero(self.nvars)
-        for num, den in self.terms:
-            counts: dict[Factor, int] = {}
-            for f in den:
-                counts[f] = counts.get(f, 0) + 1
-            part = num
-            for f, k in common.items():
-                extra = k - counts.get(f, 0)
-                for _ in range(extra):
-                    part = part * f.as_poly(self.nvars)
-            num_total = num_total + part
         den_total = LaurentPoly.one(self.nvars)
-        for f, k in common.items():
-            for _ in range(k):
-                den_total = den_total * f.as_poly(self.nvars)
-        return num_total, den_total
+        for f, k in self.denominator_factors().items():
+            den_total = f.times(den_total, k)
+        return self.cleared_numerator(), den_total
 
     def as_laurent_polynomial(self):
         """The character as a finite Laurent polynomial, or None if it is not one."""
@@ -173,10 +178,7 @@ class RationalCharacter:
         return num.divide_exact(den)
 
     def is_zero(self) -> bool:
-        if not self.terms:
-            return True
-        num, _ = self.cleared_fraction()
-        return num.is_zero()
+        return self.cleared_numerator().is_zero()
 
     def power_series(self, bound) -> LaurentPoly:
         """Geometric expansion keeping monomials of total degree <= bound.

@@ -27,6 +27,16 @@ from .exactalg.lp import positive_circuits
 Anticone = frozenset  # subsets of {1..m}, 1-based
 
 
+def as_integer(x) -> int:
+    """x as an int; a non-integral value raises InputError, never truncates."""
+    if type(x) is int:
+        return x
+    try:
+        return parse_int(x)
+    except (TypeError, ValueError):
+        raise InputError("not an integer: %r" % (x,)) from None
+
+
 @dataclass(frozen=True)
 class GITData:
     """Torus rank, characters (one tuple per coordinate), stability condition."""
@@ -43,6 +53,7 @@ class GITData:
             raise InputError("weight matrix must list m characters of length r")
         if len(self.omega) != self.r:
             raise InputError("stability condition must have length r")
+        object.__setattr__(self, "weights", tuple(tuple(map(as_integer, w)) for w in self.weights))
 
     @staticmethod
     def make(r: int, weights, omega) -> "GITData":

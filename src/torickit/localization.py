@@ -29,7 +29,7 @@ from .exactalg import (
     smith_normal_form,
 )
 from .exactalg.cyclotomic import parse_int
-from .exactalg.laurent import exp_apply
+from .exactalg.laurent import exp_apply, exp_entry
 from .exactalg.lp import weights_convex
 from .exactalg.series import (
     exp_coefficient,
@@ -40,7 +40,7 @@ from .exactalg.series import (
     todd_coefficient,
     tseries_mul,
 )
-from .gitdata import GITData, fixed_points, require_valid
+from .gitdata import GITData, as_integer, fixed_points, require_valid
 
 
 class EquivClass:
@@ -58,11 +58,11 @@ class EquivClass:
         self.m = m
         clean = {}
         for (u, s), coeff in (terms or {}).items():
-            u = tuple(int(x) for x in u)
-            s = tuple(int(x) for x in s)
+            u = tuple(map(as_integer, u))
+            s = tuple(map(as_integer, s))
             if len(u) != r or len(s) != m:
                 raise InputError("line class has wrong character lengths")
-            coeff = int(coeff)
+            coeff = as_integer(coeff)
             if coeff:
                 clean[(u, s)] = clean.get((u, s), 0) + coeff
         self.terms = {k: v for k, v in clean.items() if v}
@@ -196,10 +196,10 @@ class FixedPointData:
 
     def fiber_exponent(self, u, s) -> tuple:
         """Weight of the line class (u, s) at this fixed point, length-m exponent."""
-        exp = [Fraction(x) for x in s]
+        exp = list(s)
         for row, i in zip(self.inverse, self.delta):
             exp[i - 1] += sum(a * b for a, b in zip(row, u))
-        return tuple(exp)
+        return tuple(map(exp_entry, exp))
 
 
 def fixed_point_data(data: GITData, delta) -> FixedPointData:
@@ -307,26 +307,22 @@ def _localization_sum(fps, E: EquivClass, subtorus, collapse: bool) -> RationalC
 def _collapsed_term(fp: FixedPointData, E: EquivClass, weights):
     """One fraction for the fixed point: the isotropy average with the
     root-of-unity orbit of each tangent factor multiplied out."""
-    m, order = fp.data.m, fp.group_order
+    order = fp.group_order
     # the orbit of direction j has the lcm of its eigen-angle denominators
     orbits = [lcm(*(theta.denominator for theta in column)) for column in zip(*fp.eigen_angles)]
-    numerator = LaurentPoly.zero(m)
+    bigs = [Factor(Cyc.rational(1), tuple(mj * x for x in w)) for w, mj in zip(weights, orbits)]
+    numerator = LaurentPoly.zero(fp.data.m)
     for gi, angles in enumerate(fp.eigen_angles):
         part = restrict(E, fp, gi)
-        for theta, w, mj in zip(angles, weights, orbits):
-            big = Factor(Cyc.rational(1), tuple(mj * x for x in w)).as_poly(m)
-            for _ in range(order // mj - 1):
-                part = part * big
+        for theta, w, mj, big in zip(angles, weights, orbits, bigs):
+            part = big.times(part, order // mj - 1)
             for k in range(1, mj):
-                part = part * Factor(Cyc.root_of_unity(theta + Fraction(k, mj)), w).as_poly(m)
+                part = Factor(Cyc.root_of_unity(theta + Fraction(k, mj)), w).times(part)
         numerator = numerator + part
     numerator = numerator * Fraction(1, order)
     if not numerator.all_rational():
         raise AssertionError("isotropy average must have rational coefficients")
-    factors = [
-        Factor(Cyc.rational(1), tuple(mj * x for x in w)) for w, mj in zip(weights, orbits) for _ in range(order // mj)
-    ]
-    return numerator, factors
+    return numerator, [big for big, mj in zip(bigs, orbits) for _ in range(order // mj)]
 
 
 def sections_character(data: GITData, u, bound: int) -> LaurentPoly:

@@ -108,3 +108,17 @@ def test_subfield_operator_inverts_the_embedding():
             for j, col in enumerate(cols):
                 assert [sum(a * b for a, b in zip(row, col)) for row in left] == [int(i == j) for i in range(_phi(m))]
                 assert not any(sum(a * b for a, b in zip(row, col)) for row in consistency)
+
+
+def test_rational_constructor_matches_the_general_one():
+    for q in (0, 1, -3, Fraction(2, 3), Fraction(-7, 4)):
+        a, b = Cyc.rational(q), Cyc(1, [q])
+        assert a == b and hash(a) == hash(b) and str(a) == str(b) and repr(a) == repr(b)
+        assert a.n == 1 and type(a.coeffs[0]) is Fraction
+    # negation and rational multiples skip the reduction; they must land
+    # where the reducing constructor does
+    z = zeta(12, 5)
+    assert -z == Cyc(12, [-c for c in z.coeffs])
+    assert z * Fraction(2, 3) == Cyc(12, [Fraction(2, 3) * c for c in z.coeffs]) == Fraction(2, 3) * z
+    assert z * 0 == Cyc.rational(0) and (0 * z).n == 1
+    assert Cyc.rational(2) + Fraction(1, 2) == Cyc(1, [Fraction(5, 2)])

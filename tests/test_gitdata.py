@@ -334,3 +334,10 @@ def test_rank_zero_every_subset_is_an_anticone():
         assert anticones(data) == _lp_anticones(data) == _subsets(m, range(m + 1))
         assert fixed_points(data) == [frozenset()]
         assert validate(data).passed
+
+
+def test_direct_construction_rejects_fractional_weights():
+    with pytest.raises(InputError):
+        GITData(1, 2, ((1.5,), (2,)), (1,))
+    data = GITData(1, 2, ((Fraction(1),), (2.0,)), (1,))
+    assert data.weights == ((1,), (2,)) and {type(x) for w in data.weights for x in w} == {int}

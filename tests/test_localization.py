@@ -13,6 +13,7 @@ from torickit.exactalg import (
     expand_rational,
     rat_equal,
 )
+from torickit.exactalg.laurent import exp_apply
 from torickit.gitdata import GITData, fixed_points
 from torickit.localization import (
     EquivClass,
@@ -269,3 +270,27 @@ def test_hrr_check_builds_each_fixed_point_once(monkeypatch):
     monkeypatch.setattr(localization, "fixed_point_data", counting)
     assert hrr_check(P12, O(P12, 1), 2).equal
     assert calls == [(1,), (2,)]
+
+
+def test_integral_exponent_entries_are_int():
+    # integral entries hash and add as int; fractional ones stay Fraction
+    fp = fixed_point_data(P12, {2})
+    w = fp.tangent_weights[1]
+    assert w == (1, Fraction(-1, 2)) and [type(x) for x in w] == [int, Fraction]
+    assert [type(x) for x in fp.fiber_exponent((2,), (0, 0))] == [int, int]
+    (q1,) = restrict(O(P12, 1), fp, 0).terms
+    (q2,) = restrict(O(P12, 2), fp, 1).terms
+    assert [type(x) for x in q1] == [int, Fraction] and [type(x) for x in q2] == [int, int]
+    assert [type(x) for x in exp_apply([[1], [1]], (Fraction(2), Fraction(3)))] == [int]
+    assert exp_apply([[1], [1]], (Fraction(1, 2), 0)) == (Fraction(1, 2),)
+
+
+def test_class_entries_must_be_integers():
+    for build in (
+        lambda: EquivClass.line(1, 2, (1.5,)),
+        lambda: EquivClass.line(1, 2, (1,), s=(0, Fraction(1, 2))),
+        lambda: EquivClass(1, 2, {((2,), (0, 0)): 0.5}),
+    ):
+        with pytest.raises(InputError):
+            build()
+    assert EquivClass.line(1, 2, (Fraction(2),), coeff=2.0) == EquivClass.line(1, 2, (2,), coeff=2)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,46 @@ def test_specialize_dispatch():
 def test_str_canonical():
     x = geom(1, (1,), -1)
     assert str(x) == "1 / (1 + e[1])"
+
+
+ROOTS = [Cyc.rational(1), Cyc.rational(-1)] + [Cyc.root_of_unity(Fraction(k, n)) for k, n in ((1, 3), (3, 4), (1, 6))]
+
+
+def _random_factor(rng, nvars):
+    mu = (0,) * nvars
+    while not any(mu):
+        mu = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3))) for _ in range(nvars))
+    return Factor(rng.choice(ROOTS), mu)
+
+
+def _random_numerator(rng, nvars):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        q = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(nvars))
+        terms[q] = rng.choice(ROOTS) * rng.choice((1, -2, Fraction(1, 3)))
+    return LaurentPoly(nvars, terms)
+
+
+def test_shift_and_subtract_clearing_matches_products():
+    # root-of-unity c, fractional mu and factors repeated within and across terms
+    rng = random.Random(2014)
+    for _ in range(40):
+        pool = [_random_factor(rng, 2) for _ in range(3)]
+        x = RationalCharacter(2, [
+            (_random_numerator(rng, 2), [rng.choice(pool) for _ in range(rng.randint(0, 4))])
+            for _ in range(rng.randint(1, 3))
+        ])
+        common = x.denominator_factors()
+        expected = LaurentPoly.zero(2)
+        for num, den in x.terms:
+            for f, k in common.items():
+                for _ in range(k - den.count(f)):
+                    num = num * f.as_poly(2)
+            expected = expected + num
+        den_expected = LaurentPoly.one(2)
+        for f, k in common.items():
+            den_expected = den_expected * f.as_poly(2) ** k
+        assert x.cleared_numerator() == expected
+        assert x.cleared_fraction() == (expected, den_expected)
+        p, f, k = _random_numerator(rng, 2), rng.choice(pool), rng.randint(0, 3)
+        assert f.times(p, k) == p * f.as_poly(2) ** k

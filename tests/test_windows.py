@@ -430,3 +430,13 @@ def test_pullbacks_reduce_on_both_sides():
                 ext.substitution(side)
             )
             assert rat_equal(lhs, rhs)
+
+
+def test_fm_check_never_expands_a_common_denominator(monkeypatch):
+    from torickit.exactalg import RationalCharacter
+
+    def expanded(self):
+        raise AssertionError("rat_equal expanded the common denominator")
+
+    monkeypatch.setattr(RationalCharacter, "cleared_fraction", expanded)
+    assert fm_euler_check(crossing(KP2), O(1), O(0)).equal
