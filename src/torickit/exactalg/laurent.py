@@ -4,7 +4,8 @@ One type serves two roles.  As a character, a monomial is e^{q.lambda} for
 an exponent vector q with rational entries (the fractional weights showing
 up at orbifold fixed points).  As a graded piece of an expansion in lambda
 (see ``series``), a monomial is lambda^e with integer exponents.  An
-exponent is a tuple whose entries stay ``int`` or ``Fraction`` as given;
+exponent is a tuple whose entries stay ``int`` or ``Fraction`` as given
+(``exp_apply`` and the fixed-point weights give integral entries as int);
 keys compare and hash by value, since hash(Fraction(n)) == hash(n).
 """
 
