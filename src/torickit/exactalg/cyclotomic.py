@@ -157,15 +157,6 @@ class Cyc:
             raise ValueError("not a rational value: %r" % (self,))
         return self.coeffs[0]
 
-    def as_root_of_unity(self):
-        """Return theta with self == exp(2*pi*i*theta), or None."""
-        if self == _ONE:
-            return Fraction(0)
-        for k in range(1, 2 * self.n):
-            if self == Cyc.root_of_unity(Fraction(k, 2 * self.n)):
-                return Fraction(k, 2 * self.n)
-        return None
-
     # -- arithmetic ----------------------------------------------------
 
     def _promoted(self, n: int) -> list[Fraction]:

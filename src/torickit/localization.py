@@ -6,7 +6,8 @@ weight matrix; tangent directions carry fractional weights obtained by
 solving each remaining character against the delta-basis.  The Euler
 characteristic of a class is the averaged sum over fixed points and
 isotropy elements of fiber traces divided by the K-theoretic Euler class
-of the normal directions.
+of the normal directions.  Collapsed, an isotropy average is a projection
+onto integral exponents, and the window checks read the untwisted trace.
 """
 
 from __future__ import annotations
@@ -247,6 +248,18 @@ def restrict(E: EquivClass, fp: FixedPointData, gi: int) -> LaurentPoly:
     return out
 
 
+def untwisted_trace(E: EquivClass, fp: FixedPointData) -> LaurentPoly:
+    """Trace of the identity of G on the fiber of E, with integer coefficients
+    N_q.  G is D_delta^-T Z^r / Z^r, so g acts on e^q by a character chi_q
+    that only the fractional part of q names, distinct parts naming distinct
+    characters: the trace sum_q N_q chi_q(g) e^q is zero for every g iff N is."""
+    out = {}
+    for (u, s), coeff in E.terms.items():
+        q = fp.fiber_exponent(u, s)
+        out[q] = out.get(q, 0) + coeff
+    return LaurentPoly(fp.data.m, out)
+
+
 def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
     """Validate the data and return the data of every fixed point, in the
     order of the sorted anticones.
@@ -305,24 +318,17 @@ def _localization_sum(fps, E: EquivClass, subtorus, collapse: bool) -> RationalC
 
 
 def _collapsed_term(fp: FixedPointData, E: EquivClass, weights):
-    """One fraction for the fixed point: the isotropy average with the
-    root-of-unity orbit of each tangent factor multiplied out."""
-    order = fp.group_order
-    # the orbit of direction j has the lcm of its eigen-angle denominators
-    orbits = [lcm(*(theta.denominator for theta in column)) for column in zip(*fp.eigen_angles)]
-    bigs = [Factor(Cyc.rational(1), tuple(mj * x for x in w)) for w, mj in zip(weights, orbits)]
-    numerator = LaurentPoly.zero(fp.data.m)
-    for gi, angles in enumerate(fp.eigen_angles):
-        part = restrict(E, fp, gi)
-        for theta, w, mj, big in zip(angles, weights, orbits, bigs):
-            part = big.times(part, order // mj - 1)
-            for k in range(1, mj):
-                part = Factor(Cyc.root_of_unity(theta + Fraction(k, mj)), w).times(part)
-        numerator = numerator + part
-    numerator = numerator * Fraction(1, order)
-    if not numerator.all_rational():
-        raise AssertionError("isotropy average must have rational coefficients")
-    return numerator, [big for big, mj in zip(bigs, orbits) for _ in range(order // mj)]
+    """One fraction for the fixed point.  By ``untwisted_trace`` the average
+    over G keeps exactly the monomials with integral exponent, and with m_j
+    the lcm of the denominators of w_j, every eigenvalue zeta of direction j
+    has 1/(1 - zeta e^{w_j}) = sum_{k<m_j} (zeta e^{w_j})^k / (1 - e^{m_j w_j})."""
+    part = untwisted_trace(E, fp)
+    orders = [lcm(*(x.denominator for x in w)) for w in weights]
+    for w, mj in zip(weights, orders):
+        part = part * LaurentPoly(part.nvars, {tuple(k * x for x in w): 1 for k in range(mj)})
+    kept = {tuple(map(exp_entry, q)): c for q, c in part.terms.items() if all(x.denominator == 1 for x in q)}
+    factors = [Factor(Cyc.rational(1), tuple(exp_entry(mj * x) for x in w)) for w, mj in zip(weights, orders)]
+    return LaurentPoly(part.nvars, kept), factors
 
 
 def sections_character(data: GITData, u, bound: int) -> LaurentPoly:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError, NonCrepantError, WindowLiftError
 from .exactalg import RationalCharacter, rat_equal
 from .gitdata import SemistableLocus, minimal_anticones
-from .localization import EquivClass, euler_characteristic, fixed_point_list, restrict
+from .localization import EquivClass, euler_characteristic, fixed_point_list, untwisted_trace
 from .wallcrossing import (
     ExtendedGIT,
     WallCrossing,
@@ -187,7 +187,7 @@ def _koszul_product(wc: WallCrossing) -> EquivClass:
 
 def _vanishes_on(fps, E: EquivClass) -> bool:
     """Does E restrict to zero at every fixed point and isotropy element?"""
-    return all(restrict(E, fp, gi).is_zero() for fp in fps for gi in range(fp.group_order))
+    return all(untwisted_trace(E, fp).is_zero() for fp in fps)
 
 
 def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:

@@ -4,12 +4,12 @@ holding the stated runtime budget."""
 import itertools
 import json
 import random
-import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from budget import Budget
 from torickit.errors import ConvergenceError
 from torickit.exactalg import (
     Cyc,
@@ -44,26 +44,8 @@ C2 = GITData.make(0, [(), ()], [])
 DIAG = [[1], [1]]
 
 
-class Budget:
-    def __init__(self, number, description, limit):
-        self.number, self.description, self.limit = number, description, limit
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        if exc_type is None:
-            print("PASS criterion %d (%.2fs): %s" % (self.number, elapsed, self.description))
-            assert elapsed < self.limit, "criterion %d exceeded %.0fs budget" % (self.number, self.limit)
-        else:
-            print("FAIL criterion %d (%.2fs): %s" % (self.number, elapsed, self.description))
-        return False
-
-
 def test_criterion_1_hrr_on_affine_plane():
-    with Budget(1, "index theorem on the diagonal affine plane", 1.0):
+    with Budget("criterion 1", "index theorem on the diagonal affine plane", 1.0):
         O = EquivClass.line(0, 2, ())
         chi = euler_characteristic(C2, O, subtorus=DIAG)
         target = RationalCharacter.fraction(
@@ -82,14 +64,14 @@ def test_criterion_1_hrr_on_affine_plane():
 
 
 def test_criterion_2_antidiagonal_rejection():
-    with Budget(2, "anti-diagonal action is refused", 1.0):
+    with Budget("criterion 2", "anti-diagonal action is refused", 1.0):
         assert not weights_convex([(-1,), (1,)])
         with pytest.raises(ConvergenceError):
             euler_characteristic(C2, EquivClass.line(0, 2, ()), subtorus=[[-1], [1]])
 
 
 def test_criterion_3_conifold_combinatorics_golden():
-    with Budget(3, "conifold combinatorics match the transcribed golden file", 1.0):
+    with Budget("criterion 3", "conifold combinatorics match the transcribed golden file", 1.0):
         wc = make_wall_crossing(CONIFOLD, ["1"], ["-1"])
         ext = extend(wc)
         payload = {
@@ -115,7 +97,7 @@ def test_criterion_3_conifold_combinatorics_golden():
 
 
 def test_criterion_4_crepancy_eta_duality():
-    with Budget(4, "crepancy coincides with equal window widths", 5.0):
+    with Budget("criterion 4", "crepancy coincides with equal window widths", 5.0):
         for data, eta in ((CONIFOLD, 2), (KP2, 3)):
             wc = make_wall_crossing(data, ["1"], ["-1"])
             assert wc.crepant and eta_invariants(wc) == (eta, eta)
@@ -137,7 +119,7 @@ def test_criterion_4_crepancy_eta_duality():
 
 
 def test_criterion_5_localization_vs_section_oracle():
-    with Budget(5, "localization matches the section-counting oracle", 10.0):
+    with Budget("criterion 5", "localization matches the section-counting oracle", 10.0):
         for m in (1, 2, 3):
             data = GITData.make(0, [()] * m, [])
             chi = euler_characteristic(data, EquivClass.line(0, m, ()))
@@ -157,7 +139,7 @@ def test_criterion_5_localization_vs_section_oracle():
 
 
 def test_criterion_6_flop_invariance():
-    with Budget(6, "structure-sheaf characters agree across the flop", 10.0):
+    with Budget("criterion 6", "structure-sheaf characters agree across the flop", 10.0):
         for data in (CONIFOLD, KP2):
             wc = make_wall_crossing(data, ["1"], ["-1"])
             ext = extend(wc)
@@ -172,7 +154,7 @@ def test_criterion_6_flop_invariance():
 
 
 def test_criterion_7_fm_window_shadow():
-    with Budget(7, "pull-push pairing equals window-transported pairing", 30.0):
+    with Budget("criterion 7", "pull-push pairing equals window-transported pairing", 30.0):
         for data, l_range in ((CONIFOLD, (0, 1)), (KP2, (0, 1, 2))):
             wc = make_wall_crossing(data, ["1"], ["-1"])
             ext = extend(wc)
@@ -185,7 +167,7 @@ def test_criterion_7_fm_window_shadow():
 
 
 def test_criterion_8_property_suites():
-    with Budget(8, "closure, invariance, multiplicativity, normal forms, reindexing", 30.0):
+    with Budget("criterion 8", "closure, invariance, multiplicativity, normal forms, reindexing", 30.0):
         # anticone enlargement closure, exhaustively up to m = 8
         datasets = [
             CONIFOLD,

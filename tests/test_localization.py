@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from budget import Budget
 from torickit.errors import ConvergenceError, InputError
 from torickit.exactalg import (
     Cyc,
@@ -14,11 +15,12 @@ from torickit.exactalg import (
     rat_equal,
 )
 from torickit.exactalg.laurent import exp_apply
-from torickit.gitdata import GITData, fixed_points
+from torickit.gitdata import GITData, fixed_points, validate
 from torickit.localization import (
     EquivClass,
     euler_characteristic,
     fixed_point_data,
+    fixed_point_list,
     hrr_check,
     hrr_rhs,
     restrict,
@@ -143,11 +145,57 @@ def test_euler_untwisted_matches_manual_formula():
     assert rat_equal(chi, term + term2)
 
 
+def D(N):
+    """Fixed point {2,3} has isotropy of order 2N."""
+    return GITData.make(2, [(1, 0), (N, 1), (N, -1), (-1, 0)], ["1/20", "1/%d" % (100 * N)])
+
+
+def random_class(rng, r, m):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        u = tuple(rng.randint(-3, 3) for _ in range(r))
+        s = tuple(rng.randint(-1, 1) for _ in range(m))
+        terms[(u, s)] = rng.choice((-2, -1, 1, 2))
+    return EquivClass(r, m, terms)
+
+
 def test_euler_collapse_agrees_with_raw():
     for data, a in ((P12, 2), (P12, 3), (CONIFOLD, 1)):
         raw = euler_characteristic(data, O(data, a))
         fast = euler_characteristic(data, O(data, a), collapse=True)
         assert rat_equal(raw, fast)
+    # seeded random classes on rank-1 data with |G| <= 6, and on D_2, D_3;
+    # the uncollapsed clearing grows fast with m and |G|, so both stay small
+    rng = random.Random(11)
+    cases = [D(2), D(3)]
+    while len(cases) < 32:
+        m = rng.randint(2, 3)
+        data = GITData.make(1, [(rng.choice((-2, -1, 1, 2, 3, 4, 6)),) for _ in range(m)], ["1"])
+        if validate(data).passed:
+            cases.append(data)
+    twisted = 0
+    for data in cases:
+        E = random_class(rng, data.r, data.m)
+        assert rat_equal(euler_characteristic(data, E), euler_characteristic(data, E, collapse=True)), data
+        twisted += max(fp.group_order for fp in fixed_point_list(data)) > 1
+    assert twisted >= 25
+
+
+def test_collapse_at_isotropy_order_200():
+    data = D(100)
+    assert max(fp.group_order for fp in fixed_point_list(data)) == 200
+    with Budget("D_100 collapse", "collapsed Euler characteristic at |G| = 200", 2.0):
+        chi = euler_characteristic(data, EquivClass.line(2, 4, (0, 0)), collapse=True)
+    # at {2,3}, e^{k1 w1 + k2 w2} is invariant exactly when k1 = k2 mod 200:
+    # the invariant ring's series, one factor per tangent direction
+    w1, w2 = (200, -1, -1, 0), (0, 1, 1, 200)
+    twisted = RationalCharacter.fraction(
+        LaurentPoly(4, {(k, 0, 0, k): 1 for k in range(200)}), [Factor(Cyc.rational(1), w) for w in (w1, w2)]
+    )
+    untwisted = RationalCharacter.fraction(
+        LaurentPoly.one(4), [Factor(Cyc.rational(1), w) for w in ((-200, 1, 1, 0), (1, 0, 0, 1))]
+    )
+    assert str(chi) == str(untwisted + twisted)
 
 
 def test_euler_cyclotomic_parts_cancel():

@@ -5,11 +5,19 @@ import random
 
 import pytest
 
+from budget import Budget
 from torickit.errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
 from simplex_reference import cone_contains
 from torickit.exactalg import rat_equal
 from torickit.gitdata import GITData, anticones
-from torickit.localization import EquivClass, euler_characteristic, fixed_point_data, restrict
+from torickit.localization import (
+    EquivClass,
+    euler_characteristic,
+    fixed_point_data,
+    fixed_point_list,
+    restrict,
+    untwisted_trace,
+)
 from torickit.wallcrossing import extend, make_wall_crossing, partition_M, pullback_class
 from torickit.windows import (
     Window,
@@ -238,6 +246,39 @@ def test_koszul_relation_vanishes_on_minus_side():
                 assert restrict(product, fp, gi).is_zero()
 
 
+def test_untwisted_trace_decides_vanishing_at_every_element():
+    # (u, s) and (u + k D_i, s - k e_i) have one fiber exponent for i in delta,
+    # so their difference vanishes; a tangent column j moves the exponent by
+    # -k w_j, so the same pair built on j does not
+    rng = random.Random(5)
+    d2 = GITData.make(2, [(1, 0), (2, 1), (2, -1), (-1, 0)], ["1/20", "1/200"])
+    d3 = GITData.make(2, [(1, 0), (3, 1), (3, -1), (-1, 0)], ["1/20", "1/300"])
+    p246 = GITData.make(1, [(2,), (4,), (6,)], ["1"])
+    fps = [fp for data in (KP2, RANK2, d2, d3, p246) for fp in fixed_point_list(data)]
+    vanishing = nonvanishing = twisted = 0
+
+    def pair(fp, i, k):
+        r, m = fp.data.r, fp.data.m
+        u = tuple(rng.randint(-4, 4) for _ in range(r))
+        s = tuple(rng.randint(-2, 2) for _ in range(m))
+        moved_u = tuple(a + k * d for a, d in zip(u, fp.data.character(i)))
+        moved_s = tuple(b - k * (j == i) for j, b in enumerate(s, 1))
+        return EquivClass(r, m, {(u, s): 1, (moved_u, moved_s): -1})
+
+    for _ in range(20):
+        for fp in fps:
+            E = EquivClass.zero(fp.data.r, fp.data.m)
+            for _ in range(rng.randint(1, 3)):
+                E = E + rng.choice((-2, -1, 1, 3)) * pair(fp, rng.choice(fp.delta), rng.choice((-2, -1, 1, 2, 5)))
+            for F in (E, E + pair(fp, rng.choice(fp.tangent_indices), rng.choice((-1, 1, 2)))):
+                everywhere = all(restrict(F, fp, gi).is_zero() for gi in range(fp.group_order))
+                assert untwisted_trace(F, fp).is_zero() == everywhere, (fp.delta, F)
+                vanishing += everywhere and not F.is_zero()
+                twisted += everywhere and not F.is_zero() and fp.group_order > 1
+                nonvanishing += not everywhere
+    assert vanishing >= 200 and nonvanishing >= 200 and twisted >= 80
+
+
 def test_window_lift_noop_inside_window():
     wc = crossing(CONIFOLD)
     assert window_lift(wc, O(1)) == O(1)
@@ -412,6 +453,14 @@ def test_fm_euler_check_on_random_crepant_walls():
         assert fm_euler_check(wc, EquivClass.line(1, m, (1,)), EquivClass.line(1, m, (0,)), ext=ext).equal
         assert fm_euler_check(wc, EquivClass.line(1, m, (2,)), EquivClass.line(1, m, (-1,)), ext=ext).equal
         found += 1
+    # three walls with isotropy on both sides, nine (L, M) pairs each
+    for weights in ((1, 1, 2, -4), (2, 3, -5), (1, 1, 1, 1, -4)):
+        m = len(weights)
+        wc = crossing(GITData.make(1, [(w,) for w in weights], ["1"]))
+        with Budget("wall %s" % (weights,), "nine FM pairs", 1.0):
+            ext = extend(wc)
+            for a, b in itertools.product(range(3), range(-1, 2)):
+                assert fm_euler_check(wc, EquivClass.line(1, m, (a,)), EquivClass.line(1, m, (b,)), ext=ext).equal
 
 
 def test_pullbacks_reduce_on_both_sides():
@@ -440,3 +489,14 @@ def test_fm_check_never_expands_a_common_denominator(monkeypatch):
 
     monkeypatch.setattr(RationalCharacter, "cleared_fraction", expanded)
     assert fm_euler_check(crossing(KP2), O(1), O(0)).equal
+
+
+def test_fm_check_takes_no_root_of_unity(monkeypatch):
+    from torickit.exactalg import Cyc
+
+    def refused(theta):
+        raise AssertionError("a root of unity was built on the FM path")
+
+    monkeypatch.setattr(Cyc, "root_of_unity", staticmethod(refused))
+    assert fm_euler_check(crossing(KP2), O(1), O(0)).equal
+    assert fm_euler_check(crossing(KP2), O(4), O(1)).equal
