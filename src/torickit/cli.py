@@ -2,9 +2,10 @@
 
 One subcommand per top-level operation; exit code 0 on success or a
 passing check, 1 when a check fails, 2 on malformed input, which includes
-a stability condition on a wall and a pair of conditions not separated by
-exactly one wall, and 3 when an internal invariant fails.  Reports are
-human text by default and JSON with --json.
+a stability condition on a wall, a pair of conditions not separated by
+exactly one wall and a window operation across a non-crepant wall, and 3
+when an internal invariant fails.  Reports are human text by default and
+JSON with --json.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .errors import InputError, NotAdjacentError, OnWallError
+from .errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
 from .examples import catalog, get_example
 from .exactalg import parse_fraction
 from .gitdata import GITData, anticones, minimal_anticones, validate
@@ -293,7 +294,7 @@ def main(argv=None) -> int:
     try:
         job = job_from_args(args)
         return run(job)
-    except (InputError, OnWallError, NotAdjacentError) as exc:
+    except (InputError, OnWallError, NotAdjacentError, NonCrepantError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:

@@ -152,11 +152,6 @@ class Cyc:
     def is_rational(self) -> bool:
         return self.n == 1
 
-    def rational_value(self) -> Fraction:
-        if self.n != 1:
-            raise ValueError("not a rational value: %r" % (self,))
-        return self.coeffs[0]
-
     # -- arithmetic ----------------------------------------------------
 
     def _promoted(self, n: int) -> list[Fraction]:

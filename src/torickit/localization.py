@@ -4,10 +4,11 @@ Every torus-fixed point of the quotient is a minimal anticone delta.  Its
 isotropy group is the finite kernel cut out by the delta-columns of the
 weight matrix; tangent directions carry fractional weights obtained by
 solving each remaining character against the delta-basis.  The Euler
-characteristic of a class is the averaged sum over fixed points and
-isotropy elements of fiber traces divided by the K-theoretic Euler class
-of the normal directions.  Collapsed, an isotropy average is a projection
-onto integral exponents, and the window checks read the untwisted trace.
+characteristic of a class sums, over fixed points, the isotropy average of
+the fiber trace divided by the K-theoretic Euler class of the normal
+directions.  That average is a projection onto integral exponents, and the
+window checks read the untwisted trace; the twisted sectors, one per
+isotropy element, enter only the index formula.
 """
 
 from __future__ import annotations
@@ -286,49 +287,37 @@ def _check_shape(data: GITData, E: EquivClass):
         raise InputError("class shape does not match the GIT data")
 
 
-def euler_characteristic(data: GITData, E: EquivClass, subtorus=None, collapse: bool = False) -> RationalCharacter:
-    """The equivariant Euler characteristic of E as a rational character.
+def euler_characteristic(data: GITData, E: EquivClass, subtorus=None) -> RationalCharacter:
+    """The equivariant Euler characteristic of E as a rational character,
+    one fraction per fixed point.
 
-    Sums, over fixed points delta and isotropy elements g, the fiber trace
-    divided by prod_j (1 - zeta^theta_{g,j} e^{w_j}) over the tangent
-    directions, averaged by the group order.  Terms are kept one per
-    (delta, g); with ``collapse`` the isotropy sum of each fixed point is
-    combined into a single fraction with rational coefficients, which is
-    cheaper to compare against other characters.
+    By ``untwisted_trace`` the average over G keeps exactly the monomials
+    with integral exponent, and with m_j the lcm of the denominators of
+    w_j, every eigenvalue zeta of direction j has 1/(1 - zeta e^{w_j}) =
+    sum_{k<m_j} (zeta e^{w_j})^k / (1 - e^{m_j w_j}).  So a fixed point
+    contributes the integral part of its untwisted trace times
+    prod_j (1 + e^{w_j} + ... + e^{(m_j-1) w_j}), over prod_j (1 - e^{m_j w_j}).
 
     ``subtorus`` restricts the answer to a subtorus (exponents q become
     A^T q) once the tangent weights pass the test of ``fixed_point_list``.
     """
     _check_shape(data, E)
-    return _localization_sum(fixed_point_list(data, subtorus), E, subtorus, collapse)
+    return _localization_sum(fixed_point_list(data, subtorus), E, subtorus)
 
 
-def _localization_sum(fps, E: EquivClass, subtorus, collapse: bool) -> RationalCharacter:
+def _localization_sum(fps, E: EquivClass, subtorus) -> RationalCharacter:
     terms = []
     for fp in fps:
         weights = [fp.tangent_weights[j] for j in fp.tangent_indices]
-        if collapse:
-            terms.append(_collapsed_term(fp, E, weights))
-            continue
-        for gi, angles in enumerate(fp.eigen_angles):
-            factors = [Factor(Cyc.root_of_unity(theta), w) for theta, w in zip(angles, weights)]
-            terms.append((restrict(E, fp, gi) * Fraction(1, fp.group_order), factors))
+        orders = [lcm(*(x.denominator for x in w)) for w in weights]
+        part = untwisted_trace(E, fp)
+        for w, mj in zip(weights, orders):
+            part = part * LaurentPoly(part.nvars, {tuple(k * x for x in w): 1 for k in range(mj)})
+        kept = {tuple(map(exp_entry, q)): c for q, c in part.terms.items() if all(x.denominator == 1 for x in q)}
+        factors = [Factor(Cyc.rational(1), tuple(exp_entry(mj * x) for x in w)) for w, mj in zip(weights, orders)]
+        terms.append((LaurentPoly(part.nvars, kept), factors))
     chi = RationalCharacter(E.m, terms)
     return chi if subtorus is None else chi.specialize(subtorus)
-
-
-def _collapsed_term(fp: FixedPointData, E: EquivClass, weights):
-    """One fraction for the fixed point.  By ``untwisted_trace`` the average
-    over G keeps exactly the monomials with integral exponent, and with m_j
-    the lcm of the denominators of w_j, every eigenvalue zeta of direction j
-    has 1/(1 - zeta e^{w_j}) = sum_{k<m_j} (zeta e^{w_j})^k / (1 - e^{m_j w_j})."""
-    part = untwisted_trace(E, fp)
-    orders = [lcm(*(x.denominator for x in w)) for w in weights]
-    for w, mj in zip(weights, orders):
-        part = part * LaurentPoly(part.nvars, {tuple(k * x for x in w): 1 for k in range(mj)})
-    kept = {tuple(map(exp_entry, q)): c for q, c in part.terms.items() if all(x.denominator == 1 for x in q)}
-    factors = [Factor(Cyc.rational(1), tuple(exp_entry(mj * x) for x in w)) for w, mj in zip(weights, orders)]
-    return LaurentPoly(part.nvars, kept), factors
 
 
 def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
@@ -426,12 +415,12 @@ class HRRReport:
 
 
 def hrr_check(data: GITData, E: EquivClass, order: int, subtorus=None) -> HRRReport:
-    """Expand the localization Euler characteristic and compare it with the
-    index-formula series, degree by degree; both sides read one fixed-point
-    list."""
+    """Expand the localization Euler characteristic, the isotropy projection,
+    and compare it degree by degree with the index formula, which sums the
+    twisted sectors; both sides read one fixed-point list."""
     _check_shape(data, E)
     fps = fixed_point_list(data, subtorus)
-    lhs = expand_rational(_localization_sum(fps, E, subtorus, collapse=False), order)
+    lhs = expand_rational(_localization_sum(fps, E, subtorus), order)
     rhs = _index_series(fps, E, order, subtorus)
     mismatch = lhs.first_mismatch(rhs)
     return HRRReport(lhs, rhs, mismatch is None, mismatch)

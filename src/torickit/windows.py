@@ -305,6 +305,6 @@ def fm_euler_check(
     # inclusion of the base torus
     m = wc.base.m
     drop = [[1 if i == j else 0 for j in range(m)] for i in range(m)] + [[0] * m]
-    chi_res = euler_characteristic(ext.data_tilde, pulled, subtorus=drop, collapse=True)
-    chi_plus = euler_characteristic(wc.data_plus, lifted.tensor(M), collapse=True)
+    chi_res = euler_characteristic(ext.data_tilde, pulled, subtorus=drop)
+    chi_plus = euler_characteristic(wc.data_plus, lifted.tensor(M))
     return FMReport(rat_equal(chi_res, chi_plus), chi_res, chi_plus)

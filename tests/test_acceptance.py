@@ -145,9 +145,9 @@ def test_criterion_6_flop_invariance():
             ext = extend(wc)
             O_base = EquivClass.line(1, data.m, (0,))
             O_ext = EquivClass.line(2, data.m + 1, (0, 0))
-            chi_p = euler_characteristic(wc.data_plus, O_base, collapse=True)
-            chi_m = euler_characteristic(wc.data_minus, O_base, collapse=True)
-            chi_t = euler_characteristic(ext.data_tilde, O_ext, collapse=True)
+            chi_p = euler_characteristic(wc.data_plus, O_base)
+            chi_m = euler_characteristic(wc.data_minus, O_base)
+            chi_t = euler_characteristic(ext.data_tilde, O_ext)
             assert rat_equal(chi_p.specialize(ext.substitution("+")), chi_t)
             assert rat_equal(chi_m.specialize(ext.substitution("-")), chi_t)
             assert rat_equal(chi_p, chi_m)

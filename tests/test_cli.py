@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from budget import Budget
 from torickit.cli import main, parse_class
 from torickit.examples import catalog, get_example
 from torickit.gitdata import GITData
@@ -179,6 +180,32 @@ def test_wallcross_near_a_second_hyperplane(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["chambers"]["tilde"]["sample"] == ["1/20", "0", "-1/8000"]
     assert payload["loci"]["C~"] == [[1, 2, 3], [2, 3, 5]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fm-check", "--L", "O(0)", "--M", "O(0)"],
+        ["windows", "--check-fm", "O(0)", "O(0)"],
+        ["windows", "--lift", "O(1)"],
+    ],
+    ids=["fm-check", "windows-check-fm", "windows-lift"],
+)
+def test_non_crepant_wall_exits_2(capsys, tmp_path, argv):
+    path = tmp_path / "noncrepant.json"
+    path.write_text('{"r": 1, "m": 3, "weights": [[1], [1], [-1]], "omega": ["1"]}')
+    code, out, err = run_cli(capsys, *argv, "--data", str(path), "--omega-plus", "1", "--omega-minus", "-1")
+    assert code == 2 and out == "" and err.startswith("input error:") and "crepant" in err
+
+
+def test_euler_at_isotropy_order_200(capsys, tmp_path):
+    # the fixed point {2,3} has |G| = 200
+    path = tmp_path / "d100.json"
+    path.write_text('{"r": 2, "m": 4, "weights": [[1,0],[100,1],[100,-1],[-1,0]], "omega": ["1/20","1/10000"]}')
+    with Budget("D_100 euler", "CLI euler at |G| = 200", 10.0):
+        code, out, err = run_cli(capsys, "euler", "--data", str(path), "--json")
+    assert code == 0 and err == ""
+    assert json.loads(out)["rational_after_clearing"] is True
 
 
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):

@@ -37,9 +37,9 @@ def test_sum_of_all_roots_vanishes():
 
 
 def test_rational_collapse():
-    assert zeta(2).is_rational() and zeta(2).rational_value() == -1
-    assert (zeta(4) * zeta(4)).rational_value() == -1
-    assert (zeta(3) * zeta(3) * zeta(3)).rational_value() == 1
+    assert zeta(2).is_rational() and zeta(2) == -1
+    assert zeta(4) * zeta(4) == -1
+    assert zeta(3) * zeta(3) * zeta(3) == 1
     # zeta_6 lives in the conductor-3 field
     assert zeta(6).n == 3
     assert zeta(6) == Cyc.rational(1) + zeta(3)

@@ -26,6 +26,7 @@ from torickit.localization import (
     restrict,
     sections_character,
 )
+from twisted_reference import twisted_euler_characteristic
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])
 P12 = GITData.make(1, [(1,), (2,)], ["1"])
@@ -160,12 +161,11 @@ def random_class(rng, r, m):
 
 
 def test_euler_collapse_agrees_with_raw():
-    for data, a in ((P12, 2), (P12, 3), (CONIFOLD, 1)):
-        raw = euler_characteristic(data, O(data, a))
-        fast = euler_characteristic(data, O(data, a), collapse=True)
-        assert rat_equal(raw, fast)
+    # the isotropy projection against the literal per-element sum
+    for data, a in ((P12, 1), (P12, 2), (P12, 3), (CONIFOLD, 1)):
+        assert rat_equal(twisted_euler_characteristic(data, O(data, a)), euler_characteristic(data, O(data, a)))
     # seeded random classes on rank-1 data with |G| <= 6, and on D_2, D_3;
-    # the uncollapsed clearing grows fast with m and |G|, so both stay small
+    # the reference's clearing grows fast with m and |G|, so both stay small
     rng = random.Random(11)
     cases = [D(2), D(3)]
     while len(cases) < 32:
@@ -173,19 +173,23 @@ def test_euler_collapse_agrees_with_raw():
         data = GITData.make(1, [(rng.choice((-2, -1, 1, 2, 3, 4, 6)),) for _ in range(m)], ["1"])
         if validate(data).passed:
             cases.append(data)
-    twisted = 0
-    for data in cases:
+    twisted = conductors = 0
+    for i, data in enumerate(cases):
         E = random_class(rng, data.r, data.m)
-        assert rat_equal(euler_characteristic(data, E), euler_characteristic(data, E, collapse=True)), data
+        raw = twisted_euler_characteristic(data, E)
+        assert rat_equal(raw, euler_characteristic(data, E)), data
         twisted += max(fp.group_order for fp in fixed_point_list(data)) > 1
+        conductors += i < 2 and any(f.c.n > 1 for _, den in raw.terms for f in den)
     assert twisted >= 25
+    # D_2 and D_3 reach i and a cube root of unity; P12, the conifold and C2 only +-1
+    assert conductors >= 1
 
 
 def test_collapse_at_isotropy_order_200():
     data = D(100)
     assert max(fp.group_order for fp in fixed_point_list(data)) == 200
     with Budget("D_100 collapse", "collapsed Euler characteristic at |G| = 200", 2.0):
-        chi = euler_characteristic(data, EquivClass.line(2, 4, (0, 0)), collapse=True)
+        chi = euler_characteristic(data, EquivClass.line(2, 4, (0, 0)))
     # at {2,3}, e^{k1 w1 + k2 w2} is invariant exactly when k1 = k2 mod 200:
     # the invariant ring's series, one factor per tangent direction
     w1, w2 = (200, -1, -1, 0), (0, 1, 1, 200)
@@ -200,9 +204,26 @@ def test_collapse_at_isotropy_order_200():
 
 def test_euler_cyclotomic_parts_cancel():
     for data in (P12, CONIFOLD, C2):
-        chi = euler_characteristic(data, O(data, 1 if data.r else 0))
+        chi = twisted_euler_characteristic(data, O(data, 1 if data.r else 0))
         num, den = chi.cleared_fraction()
         assert num.all_rational() and den.all_rational()
+
+
+def test_euler_characteristic_takes_no_root_of_unity(monkeypatch):
+    def refused(theta):
+        raise AssertionError("a root of unity was built for an Euler characteristic")
+
+    cases = [
+        (GITData.make(1, [(1,), (2,), (3,)], ["1"]), EquivClass.line(1, 3, (1,))),  # P(1,2,3)
+        (GITData.make(1, [(3,), (5,)], ["1"]), EquivClass.line(1, 2, (4,))),  # P(3,5)
+        (D(3), EquivClass.line(2, 4, (1, 0))),
+    ]
+    with monkeypatch.context() as patch:
+        patch.setattr(Cyc, "root_of_unity", staticmethod(refused))
+        chis = [euler_characteristic(data, E) for data, E in cases]
+    for (data, E), chi in zip(cases, chis):
+        assert max(fp.group_order for fp in fixed_point_list(data)) > 2
+        assert rat_equal(chi, twisted_euler_characteristic(data, E))
 
 
 def test_euler_chamber_invariance():

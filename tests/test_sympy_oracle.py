@@ -37,7 +37,8 @@ characters = st.lists(st.tuples(polys, st.lists(factors, max_size=2)), min_size=
 
 
 def _rational(c: Cyc):
-    q = c.rational_value()
+    assert c.is_rational(), c
+    q = c.coeffs[0]
     return sympy.Rational(q.numerator, q.denominator)
 
 
@@ -128,7 +129,8 @@ def _laurent_coefficients(x, point, prec):
         return ring_series.rs_exp(sum(int(a) * b for a, b in zip(mu, point)) * t, t, n)
 
     def qq(c):
-        q = c.rational_value()
+        assert c.is_rational(), c
+        q = c.coeffs[0]
         return QQ(q.numerator, q.denominator)
 
     out = {}

@@ -207,9 +207,9 @@ def test_pullback_torus_twist():
 def flop_chis(data, ext):
     O_base = EquivClass.line(1, data.m, (0,))
     O_ext = EquivClass.line(2, data.m + 1, (0, 0))
-    chi_p = euler_characteristic(data.with_omega(ext.wc.omega_plus), O_base, collapse=True)
-    chi_m = euler_characteristic(data.with_omega(ext.wc.omega_minus), O_base, collapse=True)
-    chi_t = euler_characteristic(ext.data_tilde, O_ext, collapse=True)
+    chi_p = euler_characteristic(data.with_omega(ext.wc.omega_plus), O_base)
+    chi_m = euler_characteristic(data.with_omega(ext.wc.omega_minus), O_base)
+    chi_t = euler_characteristic(ext.data_tilde, O_ext)
     return chi_p, chi_m, chi_t
 
 

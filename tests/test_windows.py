@@ -383,7 +383,7 @@ def test_fm_euler_check_structure_sheaves():
     rep = fm_euler_check(wc, O(0), O(0), ext=ext)
     assert rep.equal
     # and the three structure-sheaf characters agree outright
-    chi_t = euler_characteristic(ext.data_tilde, EquivClass.line(2, 5, (0, 0)), collapse=True)
+    chi_t = euler_characteristic(ext.data_tilde, EquivClass.line(2, 5, (0, 0)))
     drop = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]]
     assert rat_equal(rep.chi_resolution, chi_t.specialize(drop))
 
@@ -473,11 +473,8 @@ def test_pullbacks_reduce_on_both_sides():
             lhs = euler_characteristic(
                 ext.data_tilde.with_omega(ext.omega_minus if side == "-" else ext.omega_plus),
                 pullback_class(ext, side, O(a)),
-                collapse=True,
             )
-            rhs = euler_characteristic(data, O(a), collapse=True).specialize(
-                ext.substitution(side)
-            )
+            rhs = euler_characteristic(data, O(a)).specialize(ext.substitution(side))
             assert rat_equal(lhs, rhs)
 
 
