@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -363,3 +365,25 @@ def test_class_entries_must_be_integers():
         with pytest.raises(InputError):
             build()
     assert EquivClass.line(1, 2, (Fraction(2),), coeff=2.0) == EquivClass.line(1, 2, (2,), coeff=2)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def twisted_hrr_cases():
+    """Classes whose fixed points have twisted sectors with roots of unity
+    other than +-1: the isotropy orders reach 3, 6 and 6."""
+    return {
+        "P(1,2,3) O(1)": (GITData.make(1, [(1,), (2,), (3,)], ["1"]), EquivClass.line(1, 3, (1,))),
+        "P(1,4,6) O(1)": (GITData.make(1, [(1,), (4,), (6,)], ["1"]), EquivClass.line(1, 3, (1,))),
+        "kp2 omega=-1 O(1)": (GITData.make(1, [(1,), (1,), (1,), (-3,)], ["-1"]), EquivClass.line(1, 4, (1,))),
+        "D(3) O(0,0)": (D(3), EquivClass.line(2, 4, (0, 0))),
+    }
+
+
+def test_twisted_hrr_golden():
+    # hrr_check JSON at order 2 on the twisted cases: pins how the index
+    # formula's sum over twisted sectors prints
+    produced = {name: hrr_check(data, E, 2).to_json_dict() for name, (data, E) in twisted_hrr_cases().items()}
+    text = json.dumps(produced, indent=2, sort_keys=True) + "\n"
+    assert text.encode("utf-8") == (GOLDEN / "twisted_hrr.json").read_bytes()
