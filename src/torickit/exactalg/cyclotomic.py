@@ -2,9 +2,9 @@
 
 A :class:`Cyc` holds an element of the N-th cyclotomic field in the power
 basis 1, z, ..., z^(phi(N)-1) of a primitive N-th root of unity z, with
-rational coordinates.  Arithmetic is exact; values that happen to be
-rational collapse to conductor 1, and every value is kept at its minimal
-conductor so that equality and hashing are structural.
+rational coordinates.  Arithmetic is exact.  The conductor N is 1 if and
+only if the value is rational; any other value sits at the lcm of the
+conductors of its operands, and ``==`` promotes both sides to one field.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-
-from .intlinalg import rref
 
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
@@ -69,65 +67,24 @@ def _reduce_mod_cyclotomic(coeffs: list[Fraction], n: int) -> list[Fraction]:
     return coeffs
 
 
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-@lru_cache(maxsize=None)
-def _subfield_operator(m: int, n: int):
-    """The embedding of Q(zeta_m) in Q(zeta_n) and its exact inverse there.
-
-    Returns (columns, left inverse, consistency rows): column j is
-    zeta_n^(j*n/m) in the power basis of zeta_n (j < phi(m)); one ``rref``
-    of [M | I] turns the embedding matrix M into rows [I | L] over rows
-    [0 | K], so L M = I and a vector c lies in Q(zeta_m) iff K c = 0, with
-    coordinates L c there.
-    """
-    cols = []
-    for j in range(_phi(m)):
-        e = j * (n // m)
-        cols.append(tuple(_reduce_mod_cyclotomic([Fraction(0)] * e + [Fraction(1)], n)))
-    size, width = _phi(n), _phi(m)
-    reduced, _ = rref([[col[i] for col in cols] + [int(i == k) for k in range(size)] for i in range(size)], width)
-    left = tuple(tuple(row[width:]) for row in reduced[:width])
-    consistency = tuple(tuple(row[width:]) for row in reduced[width:])
-    return tuple(cols), left, consistency
-
-
-def _solve_in_subfield(coeffs, m, n):
-    """Express an element of Q(zeta_n) in the zeta_m power basis, or None."""
-    _, left, consistency = _subfield_operator(m, n)
-    if any(_dot(row, coeffs) for row in consistency):
-        return None
-    return [_dot(row, coeffs) for row in left]
-
-
-def _dot(row, coeffs) -> Fraction:
-    return sum((x * c for x, c in zip(row, coeffs) if x), Fraction(0))
-
-
 class Cyc:
-    """An element of a cyclotomic field, always at minimal conductor."""
+    """An element of a cyclotomic field; ``n == 1`` exactly when it is rational.
 
-    __slots__ = ("n", "coeffs", "_hash")
+    A non-rational value keeps the conductor it was built at, which need not
+    be minimal (zeta_12^4 is zeta_3 at conductor 12), so equality promotes
+    and hashing does not read the coordinates of a non-rational value.
+    """
+
+    __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
-        coeffs = _reduce_mod_cyclotomic(coeffs, n)
-        # collapse to the smallest cyclotomic subfield containing the value
-        if n > 1:
-            if not any(coeffs[1:]):
-                n, coeffs = 1, coeffs[:1]
-            else:
-                for m in _divisors(n):
-                    if m < n and m % 4 != 2:
-                        sub = _solve_in_subfield(coeffs, m, n)
-                        if sub is not None:
-                            n, coeffs = m, sub
-                            break
+        coeffs = _reduce_mod_cyclotomic([Fraction(c) for c in coeffs], n)
+        # the power basis starts with 1, so the value is rational iff the
+        # other coordinates vanish
+        if not any(coeffs[1:]):
+            n, coeffs = 1, coeffs[:1]
         self.n = n
         self.coeffs = tuple(coeffs)
-        self._hash = None
 
     # -- constructors -------------------------------------------------
 
@@ -155,15 +112,14 @@ class Cyc:
     # -- arithmetic ----------------------------------------------------
 
     def _promoted(self, n: int) -> list[Fraction]:
+        """Coordinates in Q(zeta_n), for n a multiple of the conductor:
+        zeta_m^j is zeta_n^(j*n/m), reduced modulo Phi_n."""
         if n == self.n:
             return list(self.coeffs)
-        cols = _subfield_operator(self.n, n)[0]
-        out = [Fraction(0)] * _phi(n)
-        for j, c in enumerate(self.coeffs):
-            if c:
-                for i, v in enumerate(cols[j]):
-                    out[i] += c * v
-        return out
+        step = n // self.n
+        spread = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        spread[::step] = self.coeffs
+        return _reduce_mod_cyclotomic(spread, n)
 
     def __add__(self, other):
         other = _coerce(other)
@@ -261,12 +217,20 @@ class Cyc:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.n == other.n and self.coeffs == other.coeffs
+        if self.n == other.n:
+            return self.coeffs == other.coeffs
+        if self.n == 1 or other.n == 1:
+            return False
+        n = self.n * other.n // gcd(self.n, other.n)
+        return self._promoted(n) == other._promoted(n)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.n, self.coeffs))
-        return self._hash
+        """A rational value hashes as its Fraction, so it finds and is found
+        by equal int and Fraction keys.  Every non-rational value shares one
+        hash, since its coordinates depend on the conductor it sits at: no
+        dictionary in the package is keyed by a non-rational value it builds,
+        and a caller's such keys stay correct, only slower to look up."""
+        return hash(self.coeffs[0]) if self.n == 1 else _NONRATIONAL_HASH
 
     def __bool__(self):
         return not self.is_zero()
@@ -297,9 +261,9 @@ class Cyc:
 
 
 def _reduced(n: int, coeffs: tuple) -> Cyc:
-    """A value already reduced modulo Phi_n and at minimal conductor, as is."""
+    """A value already reduced modulo Phi_n, and rational iff n == 1, as is."""
     out = Cyc.__new__(Cyc)
-    out.n, out.coeffs, out._hash = n, coeffs, None
+    out.n, out.coeffs = n, coeffs
     return out
 
 
@@ -335,3 +299,4 @@ def parse_int(text) -> int:
 
 
 _ONE = Cyc(1, [Fraction(1)])
+_NONRATIONAL_HASH = 0x43796320  # any fixed value; see Cyc.__hash__

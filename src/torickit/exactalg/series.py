@@ -125,9 +125,6 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def all_rational(self) -> bool:
-        return self.num.all_rational() and self.den.all_rational()
-
     def __str__(self):
         if self.den == LaurentPoly.one(self.num.nvars):
             return _format_graded(self.num)
@@ -212,9 +209,6 @@ class GradedSeries:
             if self.coefficient(n) != other.coefficient(n):
                 return n
         return None
-
-    def all_rational(self) -> bool:
-        return all(p.all_rational() for p in self.data.values())
 
     def __str__(self):
         if not self.data:

@@ -345,17 +345,23 @@ def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
 def hrr_rhs(data: GITData, E: EquivClass, order: int, subtorus=None) -> GradedSeries:
     """Graded expansion of the index predicted by the fixed-point formula.
 
-    Per fixed point and isotropy element: the twisted Chern character of E
+    Per fixed point and isotropy element g: the twisted Chern character of E
     (the fiber trace of ``restrict`` with each e^q read as exp(q.lambda)),
-    times the Todd factor of every untwisted normal direction and a twisted
-    geometric factor for the others, divided by the equivariant Euler class
-    of the untwisted directions.
+    times the Todd factor of every direction g fixes and a twisted geometric
+    factor for the others, divided by the equivariant Euler class of the
+    directions g fixes.  The sectors are summed by Galois class, so every
+    coefficient of the result is rational (see ``_index_series``).
     """
     _check_shape(data, E)
     return _index_series(fixed_point_list(data, subtorus), E, order, subtorus)
 
 
 def _index_series(fps, E: EquivClass, order: int, subtorus) -> GradedSeries:
+    """At each fixed point, group the isotropy elements by the tangent
+    directions they fix.  For k prime to |G|, g -> g^k keeps the group and
+    sends the sector of g to its Galois conjugate, so the t-series of a
+    group's sectors sum to a rational one, divided once by the group's Chern
+    roots; a non-rational sum raises AssertionError."""
     nvars = len(subtorus[0]) if subtorus is not None else E.m
 
     def linform(vec):
@@ -365,23 +371,32 @@ def _index_series(fps, E: EquivClass, order: int, subtorus) -> GradedSeries:
 
     total = GradedSeries.zero(nvars, order)
     for fp in fps:
+        classes = {}
         for gi, angles in enumerate(fp.eigen_angles):
-            shift = angles.count(0)  # untwisted directions
+            classes.setdefault(tuple(theta == 0 for theta in angles), []).append(gi)
+        for fixed, members in classes.items():
+            shift = sum(fixed)  # untwisted directions
             nmax = order + shift
             series = {}
-            for q, zeta in restrict(E, fp, gi).terms.items():
-                for n, p in power_tseries(linform(q), nmax, exp_coefficient, scale=zeta).items():
+            for gi in members:
+                sector = {}
+                for q, zeta in restrict(E, fp, gi).terms.items():
+                    for n, p in power_tseries(linform(q), nmax, exp_coefficient, scale=zeta).items():
+                        sector[n] = sector[n] + p if n in sector else p
+                for theta, j in zip(fp.eigen_angles[gi], fp.tangent_indices):
+                    if theta:
+                        factor = regular_factor_tseries(Cyc.root_of_unity(theta), linform(fp.tangent_weights[j]), nmax)
+                        sector = tseries_mul(sector, factor, nmax)
+                for n, p in sector.items():
                     series[n] = series[n] + p if n in series else p
+            if not all(p.all_rational() for p in series.values()):
+                raise AssertionError("the sectors at {%s} sum to a non-rational series" % ",".join(map(str, fp.delta)))
             euler = LaurentPoly.one(nvars)
-            for theta, j in zip(angles, fp.tangent_indices):
-                w = fp.tangent_weights[j]
-                if theta == 0:
-                    root = linform(tuple(-x for x in w))  # tangent Chern root
+            for untwisted, j in zip(fixed, fp.tangent_indices):
+                if untwisted:
+                    root = linform(tuple(-x for x in fp.tangent_weights[j]))  # tangent Chern root
                     series = tseries_mul(series, power_tseries(root, nmax, todd_coefficient), nmax)
                     euler = euler * root
-                else:
-                    factor = regular_factor_tseries(Cyc.root_of_unity(theta), linform(w), nmax)
-                    series = tseries_mul(series, factor, nmax)
             scale = Fraction(1, fp.group_order)
             pieces = {n - shift: RatFun(p * scale, euler) for n, p in series.items() if n - shift <= order}
             total = total + GradedSeries(nvars, order, pieces)

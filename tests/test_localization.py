@@ -205,10 +205,21 @@ def test_collapse_at_isotropy_order_200():
 
 
 def test_euler_cyclotomic_parts_cancel():
-    for data in (P12, CONIFOLD, C2):
-        chi = twisted_euler_characteristic(data, O(data, 1 if data.r else 0))
+    # P12, the conifold and C2 reach only the roots +-1; P(1,2,3), P(3,5)
+    # and D_3 reach roots of unity of order 3, 5 and 6, which must cancel
+    cases = [(data, O(data, 1 if data.r else 0)) for data in (P12, CONIFOLD, C2)]
+    cases += [
+        (GITData.make(1, [(1,), (2,), (3,)], ["1"]), EquivClass.line(1, 3, (1,))),
+        (GITData.make(1, [(3,), (5,)], ["1"]), EquivClass.line(1, 2, (4,))),
+        (D(3), EquivClass.line(2, 4, (1, 0))),
+    ]
+    conductors = set()
+    for data, E in cases:
+        chi = twisted_euler_characteristic(data, E)
+        conductors |= {f.c.n for _, den in chi.terms for f in den}
         num, den = chi.cleared_fraction()
         assert num.all_rational() and den.all_rational()
+    assert max(conductors) > 2
 
 
 def test_euler_characteristic_takes_no_root_of_unity(monkeypatch):
@@ -387,3 +398,27 @@ def test_twisted_hrr_golden():
     produced = {name: hrr_check(data, E, 2).to_json_dict() for name, (data, E) in twisted_hrr_cases().items()}
     text = json.dumps(produced, indent=2, sort_keys=True) + "\n"
     assert text.encode("utf-8") == (GOLDEN / "twisted_hrr.json").read_bytes()
+
+
+def test_twisted_hrr_is_rational_and_matches_at_order_4():
+    for name, (data, E) in twisted_hrr_cases().items():
+        rhs = hrr_rhs(data, E, 4)
+        coeffs = [c for piece in rhs.data.values() for p in (piece.num, piece.den) for c in p.terms.values()]
+        assert coeffs and all(c.n == 1 for c in coeffs), name
+        assert hrr_check(data, E, 4).equal, name
+
+
+def test_twisted_hrr_rationality_guard_fires(monkeypatch, capsys, tmp_path):
+    # a trace scaled by a cube root of unity is no longer Galois-stable
+    import torickit.localization as localization
+    from torickit.cli import main
+
+    data, E = twisted_hrr_cases()["P(1,2,3) O(1)"]
+    restrict_plain = localization.restrict
+    monkeypatch.setattr(localization, "restrict", lambda *a: restrict_plain(*a) * Cyc.root_of_unity(Fraction(1, 3)))
+    with pytest.raises(AssertionError, match="non-rational"):
+        hrr_check(data, E, 2)
+    path = tmp_path / "p123.json"
+    path.write_text(json.dumps(data.to_json_dict()))
+    assert main(["hrr-check", "--data", str(path), "--class", "O(1)", "--order", "2"]) == 3
+    assert "internal error:" in capsys.readouterr().err

@@ -64,12 +64,17 @@ def test_cli_answers_unchanged_under_python_O(tmp_path):
     ]
     # p12 has a Z/2 point, so the isotropy projection acts there
     argvs += [["euler", "--example", "p12", "--class", "O(1)"], ["hrr-check", "--example", "p12", "--order", "2"]]
+    # P(1,2,3) has a Z/3 point, so the index formula sums conjugate sectors
+    # and checks that the sum is rational
+    p123 = tmp_path / "p123.json"
+    p123.write_text(json.dumps({"r": 1, "m": 3, "weights": [[1], [2], [3]], "omega": ["1"]}))
+    argvs += [["hrr-check", "--data", str(p123), "--class", "O(1)", "--order", "2"]]
     plain, optimized = _run([], argvs), _run(["-O"], argvs)
     assert (plain["optimize"], optimized["optimize"]) == (0, 1)
     assert optimized["results"] == plain["results"]
     # at omega = 1 all four succeed; at omega = 0 validate reports the failures
     # and euler and hrr-check refuse the data as an input error
-    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2, 0, 0]
+    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2, 0, 0, 0]
 
 
 def test_benchmark_layer_modules_import():
