@@ -13,7 +13,7 @@ from .intlinalg import (
 from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero
 from .lp import weights_convex
 from .ratchar import DenominatorCollapseError, Factor, RationalCharacter, rat_equal, specialize
-from .series import GradedSeries, RatFun, bernoulli, expand_rational, todd_coefficient
+from .series import GradedSeries, RatFun, bernoulli, expand_rational
 
 __all__ = [
     "Cyc",
@@ -39,6 +39,5 @@ __all__ = [
     "rational_solve",
     "smith_normal_form",
     "specialize",
-    "todd_coefficient",
     "weights_convex",
 ]

@@ -283,7 +283,9 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q" or an integer literal (also accepts ints directly)."""
+    """Parse "p/q" or an integer literal (also ints, but not a bool)."""
+    if isinstance(text, bool):
+        raise ValueError("%s is not a number" % text)
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
     return Fraction(str(text).strip())

@@ -102,6 +102,8 @@ class RatFun:
             other = RatFun.scalar(self.num.nvars, other)
         if not isinstance(other, RatFun):
             return NotImplemented
+        if self.den == other.den:
+            return self.num == other.num
         return (self.num * other.den) == (other.num * self.den)
 
     def __hash__(self):
@@ -243,19 +245,6 @@ def bernoulli_coefficient(n: int) -> Fraction:
     return bernoulli(n) / factorial(n)
 
 
-@lru_cache(maxsize=None)
-def todd_coefficient(n: int) -> Fraction:
-    """Coefficients of x/(1 - e^{-x}), computed by series inversion."""
-    # g(x) = (1 - e^{-x})/x has g_k = (-1)^k/(k+1)!; td = 1/g.
-    if n == 0:
-        return Fraction(1)
-    fact = [Fraction(1)]
-    for k in range(1, n + 2):
-        fact.append(fact[-1] * k)
-    g = [Fraction((-1) ** k, 1) / fact[k + 1] for k in range(n + 1)]
-    return -sum(g[k] * todd_coefficient(n - k) for k in range(1, n + 1))
-
-
 # ---------------------------------------------------------------------------
 # t-series with polynomial coefficients
 
@@ -317,35 +306,41 @@ def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
 def expand_rational(x, order: int) -> GradedSeries:
     """Laurent-expand a rational character after lambda -> t*lambda.
 
-    Denominator factors (1 - c e^{mu}) with c = 1 and mu != 0 contribute a
-    simple pole 1/(mu.lambda); every other factor must have c != 1.  The
-    result collects homogeneous pieces of degree n for n up to ``order``.
+    Denominator factors (1 - c e^{mu}) with c = 1 and mu != 0 are poles,
+    each 1/(mu.lambda) times a Bernoulli series; the others have c != 1 and
+    are regular at t = 0.  Terms with the same poles are expanded together:
+    their numerators' t-series times their regular factors are summed, the
+    sum must be rational (AssertionError otherwise), and it is multiplied
+    once by the pole series.  The result collects homogeneous pieces of
+    degree n for n up to ``order``.
     """
     if isinstance(x, LaurentPoly):
         x = RationalCharacter.from_poly(x)
     nvars = x.nvars
-    one = Cyc.rational(1)
-    total = GradedSeries.zero(nvars, order)
+    groups = {}
     for num, den in x.terms:
-        poles = [f for f in den if f.c == one]
-        regulars = [f for f in den if f.c != one]
-        npoles = len(poles)
-        nmax = order + npoles
+        poles = tuple(f.mu for f in den if f.c == 1)
+        groups.setdefault(poles, []).append((num, [f for f in den if f.c != 1]))
+    total = GradedSeries.zero(nvars, order)
+    for poles, members in groups.items():
+        nmax = order + len(poles)
         series = {}
-        for q, c in num.terms.items():
-            for n, p in power_tseries(linear_form(nvars, q), nmax, exp_coefficient, scale=c).items():
+        for num, regulars in members:
+            part = {}
+            for q, c in num.terms.items():
+                for n, p in power_tseries(linear_form(nvars, q), nmax, exp_coefficient, scale=c).items():
+                    part[n] = part[n] + p if n in part else p
+            for f in regulars:
+                part = tseries_mul(part, regular_factor_tseries(f.c, linear_form(nvars, f.mu), nmax), nmax)
+            for n, p in part.items():
                 series[n] = series[n] + p if n in series else p
-        for f in poles:
-            pole = power_tseries(linear_form(nvars, f.mu), nmax, bernoulli_coefficient)
-            series = tseries_mul(series, pole, nmax)
-        for f in regulars:
-            series = tseries_mul(series, regular_factor_tseries(f.c, linear_form(nvars, f.mu), nmax), nmax)
+        if not all(p.all_rational() for p in series.values()):
+            raise AssertionError("the terms with poles %s sum to a non-rational series" % (list(poles),))
         den_poly = LaurentPoly.one(nvars)
-        for f in poles:
-            den_poly = den_poly * linear_form(nvars, f.mu)
-        sign = Fraction((-1) ** npoles)
-        data = {}
-        for n, p in series.items():
-            data[n - npoles] = RatFun(p * sign, den_poly)
-        total = total + GradedSeries(nvars, order, data)
+        for mu in poles:
+            pole = linear_form(nvars, mu)
+            series = tseries_mul(series, power_tseries(pole, nmax, bernoulli_coefficient), nmax)
+            den_poly = den_poly * pole
+        pieces = {n - len(poles): RatFun(p * (-1) ** len(poles), den_poly) for n, p in series.items()}
+        total = total + GradedSeries(nvars, order, pieces)
     return total

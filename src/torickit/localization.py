@@ -7,8 +7,11 @@ solving each remaining character against the delta-basis.  The Euler
 characteristic of a class sums, over fixed points, the isotropy average of
 the fiber trace divided by the K-theoretic Euler class of the normal
 directions.  That average is a projection onto integral exponents, and the
-window checks read the untwisted trace; the twisted sectors, one per
-isotropy element, enter only the index formula.
+window checks read the untwisted trace.  The twisted sectors, one per
+isotropy element, enter only the index formula.  At the tangent Chern root
+x = -w.lambda, Td(x)/x = 1/(1 - e^{w.lambda}), so each sector is one more
+fraction over factors (1 - zeta e^{w}), expanded by ``expand_rational``
+with the sectors that share its poles.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from .exactalg import (
     GradedSeries,
     IntMatrix,
     LaurentPoly,
-    RatFun,
     RationalCharacter,
     rational_inverse,
     smith_normal_form,
@@ -33,15 +35,7 @@ from .exactalg import (
 from .exactalg.cyclotomic import parse_int
 from .exactalg.laurent import exp_apply, exp_entry
 from .exactalg.lp import weights_convex
-from .exactalg.series import (
-    exp_coefficient,
-    expand_rational,
-    linear_form,
-    power_tseries,
-    regular_factor_tseries,
-    todd_coefficient,
-    tseries_mul,
-)
+from .exactalg.series import expand_rational
 from .gitdata import GITData, as_integer, fixed_points, require_valid
 
 
@@ -345,62 +339,32 @@ def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
 def hrr_rhs(data: GITData, E: EquivClass, order: int, subtorus=None) -> GradedSeries:
     """Graded expansion of the index predicted by the fixed-point formula.
 
-    Per fixed point and isotropy element g: the twisted Chern character of E
-    (the fiber trace of ``restrict`` with each e^q read as exp(q.lambda)),
-    times the Todd factor of every direction g fixes and a twisted geometric
-    factor for the others, divided by the equivariant Euler class of the
-    directions g fixes.  The sectors are summed by Galois class, so every
-    coefficient of the result is rational (see ``_index_series``).
+    Per fixed point p and isotropy element g: the twisted Chern character of
+    E, times the Todd class of each direction g fixes and a twisted
+    geometric factor for the others, over the Euler class of the directions
+    g fixes.  As Td(x)/x = 1/(1 - e^{w.lambda}) at the Chern root
+    x = -w.lambda, this expands restrict(E, p, g)/|G| over prod_j
+    (1 - zeta_{g,j} e^{w_j}) (``_twisted_sum``), summing the sectors with
+    the same poles before the pole series multiplies them.
     """
     _check_shape(data, E)
-    return _index_series(fixed_point_list(data, subtorus), E, order, subtorus)
+    return expand_rational(_twisted_sum(fixed_point_list(data, subtorus), E, subtorus), order)
 
 
-def _index_series(fps, E: EquivClass, order: int, subtorus) -> GradedSeries:
-    """At each fixed point, group the isotropy elements by the tangent
-    directions they fix.  For k prime to |G|, g -> g^k keeps the group and
-    sends the sector of g to its Galois conjugate, so the t-series of a
-    group's sectors sum to a rational one, divided once by the group's Chern
-    roots; a non-rational sum raises AssertionError."""
-    nvars = len(subtorus[0]) if subtorus is not None else E.m
-
-    def linform(vec):
-        if subtorus is not None:
-            vec = exp_apply(subtorus, vec)
-        return linear_form(nvars, vec)
-
-    total = GradedSeries.zero(nvars, order)
+def _twisted_sum(fps, E: EquivClass, subtorus) -> RationalCharacter:
+    """One fraction per fixed point and isotropy element.  The sectors fixing
+    the same directions share their poles; g -> g^k, k prime to |G|, sends
+    each to its Galois conjugate, so ``expand_rational`` sums them to a
+    rational series."""
+    terms = []
     for fp in fps:
-        classes = {}
+        weights = [fp.tangent_weights[j] for j in fp.tangent_indices]
+        scale = Fraction(1, fp.group_order)
         for gi, angles in enumerate(fp.eigen_angles):
-            classes.setdefault(tuple(theta == 0 for theta in angles), []).append(gi)
-        for fixed, members in classes.items():
-            shift = sum(fixed)  # untwisted directions
-            nmax = order + shift
-            series = {}
-            for gi in members:
-                sector = {}
-                for q, zeta in restrict(E, fp, gi).terms.items():
-                    for n, p in power_tseries(linform(q), nmax, exp_coefficient, scale=zeta).items():
-                        sector[n] = sector[n] + p if n in sector else p
-                for theta, j in zip(fp.eigen_angles[gi], fp.tangent_indices):
-                    if theta:
-                        factor = regular_factor_tseries(Cyc.root_of_unity(theta), linform(fp.tangent_weights[j]), nmax)
-                        sector = tseries_mul(sector, factor, nmax)
-                for n, p in sector.items():
-                    series[n] = series[n] + p if n in series else p
-            if not all(p.all_rational() for p in series.values()):
-                raise AssertionError("the sectors at {%s} sum to a non-rational series" % ",".join(map(str, fp.delta)))
-            euler = LaurentPoly.one(nvars)
-            for untwisted, j in zip(fixed, fp.tangent_indices):
-                if untwisted:
-                    root = linform(tuple(-x for x in fp.tangent_weights[j]))  # tangent Chern root
-                    series = tseries_mul(series, power_tseries(root, nmax, todd_coefficient), nmax)
-                    euler = euler * root
-            scale = Fraction(1, fp.group_order)
-            pieces = {n - shift: RatFun(p * scale, euler) for n, p in series.items() if n - shift <= order}
-            total = total + GradedSeries(nvars, order, pieces)
-    return total
+            factors = [Factor(Cyc.root_of_unity(theta), w) for theta, w in zip(angles, weights)]
+            terms.append((restrict(E, fp, gi) * scale, factors))
+    chi = RationalCharacter(E.m, terms)
+    return chi if subtorus is None else chi.specialize(subtorus)
 
 
 @dataclass(frozen=True)
@@ -436,6 +400,6 @@ def hrr_check(data: GITData, E: EquivClass, order: int, subtorus=None) -> HRRRep
     _check_shape(data, E)
     fps = fixed_point_list(data, subtorus)
     lhs = expand_rational(_localization_sum(fps, E, subtorus), order)
-    rhs = _index_series(fps, E, order, subtorus)
+    rhs = expand_rational(_twisted_sum(fps, E, subtorus), order)
     mismatch = lhs.first_mismatch(rhs)
     return HRRReport(lhs, rhs, mismatch is None, mismatch)

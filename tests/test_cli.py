@@ -244,13 +244,37 @@ def test_fixed_points_rejects_invalid_data_like_euler(capsys, tmp_path, text, fa
         ["euler", "--example", "conifold", "--class", '[{{"u": [1.5]}}]'],
         ["euler", "--example", "conifold", "--class", '[{{"u": ["x"]}}]'],
         ["wallcross", "--example", "conifold", "--omega-plus", "abc"],
+        # JSON true and false are not read as 1 and 0
+        ["euler", "--example", "conifold", "--class", '[{{"u": [true]}}]'],
+        ["euler", "--example", "conifold", "--class", '[{{"u": [1], "s": [0, 0, 0, false]}}]'],
+        ["euler", "--example", "conifold", "--class", '[{{"u": [1], "coeff": true}}]'],
     ],
-    ids=["fractional-weight", "fractional-class", "non-numeric-class", "non-numeric-omega"],
+    ids=[
+        "fractional-weight", "fractional-class", "non-numeric-class", "non-numeric-omega",
+        "boolean-class-u", "boolean-class-s", "boolean-class-coeff",
+    ],
 )
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "data.json"
     path.write_text('{"r": 1, "m": 2, "weights": [[1.5], [2]], "omega": ["1"]}')
     code, out, err = run_cli(capsys, *[a.format(data=path) for a in argv])
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"r": true, "m": 2, "weights": [[1], [2]], "omega": ["1"]}',
+        '{"r": 1, "m": 2, "weights": [[true], [2]], "omega": ["1"]}',
+        '{"r": 1, "m": 2, "weights": [[1], [2]], "omega": [true]}',
+    ],
+    ids=["r", "weights", "omega"],
+)
+def test_boolean_git_data_exits_2(capsys, tmp_path, text):
+    # a JSON true is not read as 1
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", "--data", str(path))
     assert code == 2 and out == "" and err.startswith("input error:")
 
 

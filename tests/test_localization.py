@@ -331,6 +331,15 @@ def test_hrr_check_orbifold_affine_quotient():
     assert hrr_check(minus, EquivClass.line(1, 4, (1,)), 3).equal
 
 
+def test_hrr_check_kp2_at_order_6_within_budget():
+    # on smooth data both sides have the same one-factor-per-direction
+    # denominators, so the comparison never cross-multiplies them
+    kp2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
+    with Budget("kp2 hrr order 6", "K_P2 O(1) index theorem at order 6", 2.5):
+        report = hrr_check(kp2, EquivClass.line(1, 4, (1,)), 6)
+    assert report.equal
+
+
 def test_hrr_report_shape():
     rep = hrr_check(P12, O(P12, 0), 2)
     d = rep.to_json_dict()

@@ -10,7 +10,6 @@ from torickit.exactalg.series import (
     RatFun,
     bernoulli,
     expand_rational,
-    todd_coefficient,
 )
 
 
@@ -28,12 +27,11 @@ def test_bernoulli_and_todd_values():
     assert [bernoulli(n) for n in range(7)] == [
         1, Fraction(-1, 2), Fraction(1, 6), 0, Fraction(-1, 30), 0, Fraction(1, 42),
     ]
-    assert [todd_coefficient(n) for n in range(5)] == [
+    # Todd coefficients of x/(1 - e^{-x}): at x = -w.lambda, Td(x)/x is
+    # 1/(1 - e^{w.lambda}), which is what the index formula expands
+    assert [(-1) ** n * bernoulli(n) / factorial(n) for n in range(5)] == [
         1, Fraction(1, 2), Fraction(1, 12), 0, Fraction(-1, 720),
     ]
-    # the two sequences agree up to the sign of the linear term
-    for n in range(8):
-        assert todd_coefficient(n) == (-1) ** n * bernoulli(n) / factorial(n)
 
 
 def test_expand_double_pole_reference_values():
@@ -96,6 +94,26 @@ def test_graded_series_mismatch_reporting():
     a = expand_rational(geom(1, (1,)), 3)
     b = expand_rational(geom(1, (2,)), 3)
     assert a.first_mismatch(b) == -1  # poles 1/l vs 1/(2l) differ already
+
+
+def test_ratfun_equal_denominators_compare_numerators():
+    l1, l2 = LaurentPoly(2, {(1, 0): 1}), LaurentPoly(2, {(0, 1): 1})
+    den = l1 + l2
+    assert RatFun(l1, den) != RatFun(l1 * 2, den)
+    assert RatFun(l1, den) == RatFun(l1 * 2, den * 2)
+
+
+def test_expand_sums_the_terms_sharing_their_poles():
+    # a lone twisted sector 1/(1 - zeta_3 e^x) is not a rational series; with
+    # its conjugate it is (2 - e^x - e^{2x})/(1 - e^{3x})
+    zeta = Cyc.root_of_unity(Fraction(1, 3))
+    lone = RationalCharacter.fraction(LaurentPoly.one(1), [Factor(zeta, (1,))])
+    with pytest.raises(AssertionError, match="non-rational"):
+        expand_rational(lone, 2)
+    pair = lone + RationalCharacter.fraction(LaurentPoly.one(1), [Factor(zeta * zeta, (1,))])
+    closed = RationalCharacter.fraction(LaurentPoly(1, {(0,): 2, (1,): -1, (2,): -1}), [Factor(Cyc.rational(1), (3,))])
+    for order in range(7):
+        assert expand_rational(pair, order).first_mismatch(expand_rational(closed, order)) is None
 
 
 def test_multivariate_pole_pieces():

@@ -1,11 +1,12 @@
 """Guards on how the package is written and run: no ``assert`` statements in
 the sources, the same answers with ``python -O``, which strips them, and the
-layer modules the benchmark traces still exist."""
+layer modules and result shapes the benchmark reads still exist."""
 
 import ast
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -89,3 +90,20 @@ def test_benchmark_layer_modules_import():
     assert len(modules) >= 10
     for name in modules:
         assert importlib.import_module(name).__name__ == name
+
+
+def test_benchmark_probes_pass_their_checks(monkeypatch):
+    # benchmark/workloads.py turns results into plain data by reading their
+    # attributes (graded pieces' num and den, coefficients' n and coeffs,
+    # factors' c and mu); a change to those shapes fails here, not only in
+    # a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    workloads = importlib.import_module("workloads")
+    rng = random.Random(0)
+    for name, build in workloads.WORKLOADS.items():
+        battery = build()
+        assert battery.probes, name
+        for probe in battery.probes:
+            op = battery.op(probe)
+            assert op.check(op.run(), rng), (name, probe)
