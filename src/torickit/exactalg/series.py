@@ -4,7 +4,9 @@ Substituting lambda -> t*lambda and expanding at t = 0 turns a rational
 character into a Laurent series in t whose degree-n piece is a homogeneous
 degree-n rational function of lambda_1..lambda_m.  Pieces of negative
 degree arise from factors (1 - e^{mu}) which contribute a simple pole
-1/(mu.lambda) times a Bernoulli-type series.
+1/(mu.lambda) times a Bernoulli-type series.  There is one denominator per
+expansion, the product of the distinct primitive pole forms at their
+largest multiplicity.
 
 Graded pieces are quotients of ``LaurentPoly`` values in lambda with
 integer exponents: the sparse polynomial type of the characters, whose
@@ -13,11 +15,13 @@ exponents in e^lambda may be fractional, read here as monomials lambda^e.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .cyclotomic import Cyc
+from .intlinalg import primitive_integer_vector
 from .laurent import LaurentPoly
 from .ratchar import RationalCharacter
 
@@ -154,10 +158,6 @@ class GradedSeries:
             if n <= order and not piece.is_zero():
                 self.data[n] = piece
 
-    @staticmethod
-    def zero(nvars: int, order: int) -> "GradedSeries":
-        return GradedSeries(nvars, order, {})
-
     def lower_bound(self):
         return min(self.data) if self.data else None
 
@@ -183,7 +183,7 @@ class GradedSeries:
         # product to degree (other's order) + n0
         la, lb = self.lower_bound(), other.lower_bound()
         if la is None or lb is None:
-            return GradedSeries.zero(self.nvars, min(self.order, other.order))
+            return GradedSeries(self.nvars, min(self.order, other.order))
         order = min(self.order + lb, other.order + la)
         data = {}
         for n1, p1 in self.data.items():
@@ -303,6 +303,14 @@ def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
 # the expansion itself
 
 
+def _pole_form(mu) -> tuple[Fraction, tuple[int, ...]]:
+    """mu as s * f, f a primitive integer vector whose first nonzero entry is positive."""
+    f = primitive_integer_vector(mu)
+    if next(x for x in f if x) < 0:
+        f = tuple(-x for x in f)
+    return next(Fraction(a) / b for a, b in zip(mu, f) if b), f
+
+
 def expand_rational(x, order: int) -> GradedSeries:
     """Laurent-expand a rational character after lambda -> t*lambda.
 
@@ -312,7 +320,9 @@ def expand_rational(x, order: int) -> GradedSeries:
     their numerators' t-series times their regular factors are summed, the
     sum must be rational (AssertionError otherwise), and it is multiplied
     once by the pole series.  The result collects homogeneous pieces of
-    degree n for n up to ``order``.
+    degree n for n up to ``order`` over one denominator per expansion, the
+    product of the distinct primitive pole forms at their largest
+    multiplicity (``_pole_form``), so both sides of ``hrr_check`` share it.
     """
     if isinstance(x, LaurentPoly):
         x = RationalCharacter.from_poly(x)
@@ -321,7 +331,7 @@ def expand_rational(x, order: int) -> GradedSeries:
     for num, den in x.terms:
         poles = tuple(f.mu for f in den if f.c == 1)
         groups.setdefault(poles, []).append((num, [f for f in den if f.c != 1]))
-    total = GradedSeries.zero(nvars, order)
+    expanded = []
     for poles, members in groups.items():
         nmax = order + len(poles)
         series = {}
@@ -336,11 +346,19 @@ def expand_rational(x, order: int) -> GradedSeries:
                 series[n] = series[n] + p if n in series else p
         if not all(p.all_rational() for p in series.values()):
             raise AssertionError("the terms with poles %s sum to a non-rational series" % (list(poles),))
-        den_poly = LaurentPoly.one(nvars)
         for mu in poles:
-            pole = linear_form(nvars, mu)
-            series = tseries_mul(series, power_tseries(pole, nmax, bernoulli_coefficient), nmax)
-            den_poly = den_poly * pole
-        pieces = {n - len(poles): RatFun(p * (-1) ** len(poles), den_poly) for n, p in series.items()}
-        total = total + GradedSeries(nvars, order, pieces)
-    return total
+            series = tseries_mul(series, power_tseries(linear_form(nvars, mu), nmax, bernoulli_coefficient), nmax)
+        forms = [_pole_form(mu) for mu in poles]
+        expanded.append((series, len(poles), prod(-1 / s for s, _ in forms), Counter(f for _, f in forms)))
+    common = Counter()
+    for *_, forms in expanded:
+        common |= forms
+    one = LaurentPoly.one(nvars)
+    den = prod((linear_form(nvars, f) ** k for f, k in common.items()), start=one)
+    nums = {}
+    for series, k, scale, forms in expanded:
+        cofactor = prod((linear_form(nvars, f) ** j for f, j in (common - forms).items()), start=one * scale)
+        for n, p in series.items():
+            p = p * cofactor
+            nums[n - k] = nums[n - k] + p if n - k in nums else p
+    return GradedSeries(nvars, order, {n: RatFun(p, den) for n, p in nums.items()})

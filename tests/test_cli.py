@@ -299,6 +299,15 @@ def test_graded_series_golden(capsys):
     assert text.encode("utf-8") == (GOLDEN / "graded_series.json").read_bytes()
 
 
+def test_graded_series_golden_equal_sides_print_identically():
+    # equal sides expand over one denominator, so they print the same string
+    golden = json.loads((GOLDEN / "graded_series.json").read_text())
+    checks = [case["output"] for argv, case in golden.items() if argv.startswith("hrr-check")]
+    assert len(checks) == 4 and all(out["equal"] for out in checks)
+    for out in checks:
+        assert out["lhs"] == out["rhs"]
+
+
 def _fm_golden_text(capsys) -> str:
     produced = {}
     for argv in (

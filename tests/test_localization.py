@@ -10,10 +10,12 @@ from torickit.errors import ConvergenceError, InputError
 from torickit.exactalg import (
     Cyc,
     Factor,
+    GradedSeries,
     IntMatrix,
     LaurentPoly,
     RationalCharacter,
     expand_rational,
+    primitive_integer_vector,
     rat_equal,
 )
 from torickit.exactalg.laurent import exp_apply
@@ -332,8 +334,9 @@ def test_hrr_check_orbifold_affine_quotient():
 
 
 def test_hrr_check_kp2_at_order_6_within_budget():
-    # on smooth data both sides have the same one-factor-per-direction
-    # denominators, so the comparison never cross-multiplies them
+    # both sides expand over one denominator, the product of the primitive
+    # pole forms, at smooth and orbifold points alike, so the comparison
+    # never cross-multiplies them
     kp2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
     with Budget("kp2 hrr order 6", "K_P2 O(1) index theorem at order 6", 2.5):
         report = hrr_check(kp2, EquivClass.line(1, 4, (1,)), 6)
@@ -431,3 +434,42 @@ def test_twisted_hrr_rationality_guard_fires(monkeypatch, capsys, tmp_path):
     path.write_text(json.dumps(data.to_json_dict()))
     assert main(["hrr-check", "--data", str(path), "--class", "O(1)", "--order", "2"]) == 3
     assert "internal error:" in capsys.readouterr().err
+
+
+def test_twisted_hrr_golden_equal_sides_print_identically():
+    # equal sides expand over one denominator, so they print the same string
+    golden = json.loads((GOLDEN / "twisted_hrr.json").read_text())
+    assert all(case["equal"] for case in golden.values())
+    for name, case in golden.items():
+        assert case["lhs"] == case["rhs"], name
+
+
+def test_hrr_sides_share_one_denominator_per_expansion(monkeypatch):
+    # a pole mu.lambda is s * (f.lambda), f primitive with its first nonzero
+    # entry positive, so the projection's poles m_j w_j and the sectors'
+    # poles w_j give both sides one denominator, at orbifold points too, and
+    # no graded series is added to another
+    def no_sum(*_):
+        raise AssertionError("GradedSeries.__add__ called")
+
+    monkeypatch.setattr(GradedSeries, "__add__", no_sum)
+    cases = twisted_hrr_cases()
+    kp2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
+    cases["kp2 O(1)"] = (kp2, EquivClass.line(1, 4, (1,)))
+    reports = {}
+    for name in ("kp2 O(1)", "kp2 omega=-1 O(1)", "P(1,2,3) O(1)", "D(3) O(0,0)"):
+        data, E = cases[name]
+        reports[name] = report = hrr_check(data, E, 4)
+        assert report.equal and report.lhs.data.keys() == report.rhs.data.keys(), name
+        for n, piece in report.lhs.data.items():
+            assert piece.den == report.rhs.data[n].den, (name, n)
+    forms = set()
+    for fp in fixed_point_list(kp2):
+        for j in fp.tangent_indices:
+            f = primitive_integer_vector(fp.tangent_weights[j])
+            forms.add(f if next(x for x in f if x) > 0 else tuple(-x for x in f))
+    den = LaurentPoly.one(4)
+    for f in forms:
+        den = den * LaurentPoly(4, {tuple(int(i == j) for j in range(4)): c for i, c in enumerate(f) if c})
+    assert len(forms) == 6 and len(den.terms) == 24
+    assert all(piece.den == den for piece in reports["kp2 O(1)"].lhs.data.values())

@@ -10,7 +10,7 @@ in t after x_i -> exp(t * l_i).  sympy is only needed for the tests.
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from torickit.exactalg import Cyc, Factor, LaurentPoly, RationalCharacter, expand_rational, rat_equal
@@ -112,8 +112,22 @@ small_characters = st.lists(
         st.lists(factors, max_size=2),
     ),
     min_size=1,
-    max_size=2,
+    max_size=3,
 ).map(lambda terms: RationalCharacter(NVARS, terms))
+
+
+def _pole(*mu):
+    return Factor(Cyc.rational(1), tuple(map(Fraction, mu)))
+
+
+# poles mu, -mu and 2mu share one primitive form at scales 1, -1 and 2, and
+# the form of (1, -1/2) is (2, -1) at scale 1/2
+SHARED_POLE_FORMS = RationalCharacter(NVARS, [
+    (LaurentPoly.monomial(NVARS, (1, 0)), [_pole(2, 1)]),
+    (LaurentPoly.one(NVARS) * 2, [_pole(-2, -1)]),
+    (LaurentPoly.monomial(NVARS, (0, 1), -1), [_pole(2, 1), _pole(4, 2)]),
+    (LaurentPoly.one(NVARS), [_pole(1, Fraction(-1, 2))]),
+])
 
 
 def _laurent_coefficients(x, point, prec):
@@ -126,7 +140,8 @@ def _laurent_coefficients(x, point, prec):
     ring, t = sympy.polys.rings.ring("t", QQ)
 
     def exp(mu, n):
-        return ring_series.rs_exp(sum(int(a) * b for a, b in zip(mu, point)) * t, t, n)
+        k = sum(Fraction(a) * b for a, b in zip(mu, point))
+        return ring_series.rs_exp(QQ(k.numerator, k.denominator) * t, t, n)
 
     def qq(c):
         assert c.is_rational(), c
@@ -149,6 +164,7 @@ def _laurent_coefficients(x, point, prec):
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(small_characters)
+@example(SHARED_POLE_FORMS)
 def test_expand_rational_matches_sympy_series(x):
     # the graded pieces are homogeneous in lambda; they are compared at two
     # integer points where no mu . lambda with mu a nonzero exponent vanishes
