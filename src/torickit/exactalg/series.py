@@ -113,24 +113,6 @@ class RatFun:
     def __hash__(self):
         raise TypeError("RatFun is unhashable")
 
-    def __add__(self, other: "RatFun") -> "RatFun":
-        if self.den == other.den:
-            return RatFun(self.num + other.num, self.den)
-        return RatFun(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Cyc)):
-            return RatFun(self.num * other, self.den)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
     def __str__(self):
         if self.den == LaurentPoly.one(self.num.nvars):
             return _format_graded(self.num)
@@ -163,36 +145,6 @@ class GradedSeries:
 
     def coefficient(self, n: int) -> RatFun:
         return self.data.get(n, RatFun.scalar(self.nvars, 0))
-
-    def __add__(self, other: "GradedSeries") -> "GradedSeries":
-        order = min(self.order, other.order)
-        data = {}
-        for n in set(self.data) | set(other.data):
-            if n <= order:
-                data[n] = self.coefficient(n) + other.coefficient(n)
-        return GradedSeries(self.nvars, order, data)
-
-    def __neg__(self):
-        return GradedSeries(self.nvars, self.order, {n: -p for n, p in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "GradedSeries") -> "GradedSeries":
-        # a factor known to degree N with lowest degree n0 limits the
-        # product to degree (other's order) + n0
-        la, lb = self.lower_bound(), other.lower_bound()
-        if la is None or lb is None:
-            return GradedSeries(self.nvars, min(self.order, other.order))
-        order = min(self.order + lb, other.order + la)
-        data = {}
-        for n1, p1 in self.data.items():
-            for n2, p2 in other.data.items():
-                n = n1 + n2
-                if n <= order:
-                    prod = p1 * p2
-                    data[n] = data[n] + prod if n in data else prod
-        return GradedSeries(self.nvars, order, data)
 
     def __eq__(self, other):
         if not isinstance(other, GradedSeries):
@@ -279,24 +231,17 @@ def power_tseries(linear: LaurentPoly, nmax: int, coefficient, scale=None) -> di
 
 
 def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
-    """Series of 1/(1 - c*e^{t*linear}) for c != 1 (regular at t = 0)."""
-    a0 = (Cyc.rational(1) - c).inverse()
-    # E = e^{t*linear} - 1; expansion a0 * sum_k (c*a0)^k E^k
-    e_series = power_tseries(linear, nmax, exp_coefficient)
-    e_series.pop(0, None)
-    out = {0: LaurentPoly.one(linear.nvars)}
-    ek = {0: LaurentPoly.one(linear.nvars)}
-    ratio = c * a0
-    factor = ratio
-    for k in range(1, nmax + 1):
-        ek = tseries_mul(ek, e_series, nmax)
-        if not ek:
-            break
-        for n, p in ek.items():
-            piece = p * factor
-            out[n] = out[n] + piece if n in out else piece
-        factor = factor * ratio
-    return {n: p * a0 for n, p in out.items()}
+    """Series of 1/(1 - c*e^{t*linear}) for c != 1 (regular at t = 0).
+
+    Its t^n coefficient is a_n(c) * linear^n, a scalar times a power of the
+    form: (1 - c*e^x) * sum_n a_n x^n = 1 gives a_0 = 1/(1 - c) and
+    a_n = c/(1 - c) * sum_{k=1..n} a_{n-k}/k!.
+    """
+    a = [(Cyc.rational(1) - c).inverse()]
+    ratio = c * a[0]
+    for n in range(1, nmax + 1):
+        a.append(ratio * sum((a[n - k] * exp_coefficient(k) for k in range(1, n + 1)), Cyc.rational(0)))
+    return power_tseries(linear, nmax, a.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -10,6 +10,8 @@ from torickit.exactalg.series import (
     RatFun,
     bernoulli,
     expand_rational,
+    linear_form,
+    regular_factor_tseries,
 )
 
 
@@ -21,6 +23,24 @@ def geom(nvars, mu, c=1):
 
 def const_piece(value, nvars=1):
     return RatFun(LaurentPoly.one(nvars) * value)
+
+
+def scalar_pieces(s):
+    """{n: c} for a one-variable series whose degree-n piece is c * lambda^n:
+    the piece is homogeneous, so its value at lambda = 1 determines it."""
+    out = {}
+    for n, piece in s.data.items():
+        assert all(q - d == n for (q,) in piece.num.terms for (d,) in piece.den.terms)
+        out[n] = sum(piece.num.terms.values(), Cyc.rational(0)) / sum(piece.den.terms.values(), Cyc.rational(0))
+    return out
+
+
+def eulerian_polynomial(n, c):
+    """A_n(c) = sum_k A(n, k) c^k with the Eulerian numbers in closed form."""
+    return sum(
+        (sum((-1) ** j * comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)) * c**k for k in range(n)),
+        Cyc.rational(0),
+    )
 
 
 def test_bernoulli_and_todd_values():
@@ -71,15 +91,43 @@ def test_expand_rejects_identically_zero_factor():
 def test_expand_additive():
     a = geom(1, (1,))
     b = geom(1, (2,), -1)
-    assert expand_rational(a + b, 4) == expand_rational(a, 4) + expand_rational(b, 4)
+    pa, pb = scalar_pieces(expand_rational(a, 4)), scalar_pieces(expand_rational(b, 4))
+    total = {n: pa.get(n, 0) + pb.get(n, 0) for n in set(pa) | set(pb)}
+    assert scalar_pieces(expand_rational(a + b, 4)) == {n: c for n, c in total.items() if c}
 
 
 def test_expand_multiplicative_up_to_truncation():
     a = geom(1, (1,))
     b = RationalCharacter.from_poly(LaurentPoly.monomial(1, (2,))) * geom(1, (1,), -1)
-    prod = expand_rational(a, 5) * expand_rational(b, 5)
-    direct = expand_rational(a * b, 5)
-    assert direct.first_mismatch(prod) is None
+    pa, pb = scalar_pieces(expand_rational(a, 5)), scalar_pieces(expand_rational(b, 5))
+    # a factor known to degree 5 with lowest degree n0 limits the product
+    # to degree 5 + n0 of the other factor
+    order = min(5 + min(pb), 5 + min(pa))
+    assert order == 4
+    prod = {}
+    for n1, c1 in pa.items():
+        for n2, c2 in pb.items():
+            if n1 + n2 <= order:
+                prod[n1 + n2] = prod.get(n1 + n2, 0) + c1 * c2
+    direct = scalar_pieces(expand_rational(a * b, 5))
+    assert {n: c for n, c in direct.items() if n <= order} == {n: c for n, c in prod.items() if c}
+
+
+def test_regular_factor_matches_eulerian_closed_form():
+    # 1/(1 - c e^x) = sum_m c^m e^{mx}, so a_n(c) = Li_{-n}(c)/n!, which is
+    # c A_n(c) / ((1 - c)^{n+1} n!) for n >= 1
+    x = linear_form(1, (1,))
+    assert eulerian_polynomial(1, Cyc.rational(7)) == 1
+    assert eulerian_polynomial(2, Cyc.rational(7)) == 8
+    values = [Cyc.rational(v) for v in (-1, 2, Fraction(1, 2))]
+    values += [Cyc.root_of_unity(Fraction(1, n)) for n in (3, 4, 6)]
+    for c in values:
+        series = regular_factor_tseries(c, x, 8)
+        assert set(series) <= set(range(9)), c
+        expected = [1 / (1 - c)]
+        expected += [c * eulerian_polynomial(n, c) / ((1 - c) ** (n + 1) * factorial(n)) for n in range(1, 9)]
+        for n, a in enumerate(expected):
+            assert series.get(n, LaurentPoly.zero(1)) == LaurentPoly(1, {(n,): a}), (c, n)
 
 
 def test_rat_equal_implies_equal_expansion():
