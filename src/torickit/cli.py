@@ -15,10 +15,9 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 from .errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
-from .examples import catalog, get_example
+from .examples import CatalogEntry, catalog, get_example
 from .exactalg import parse_fraction
 from .gitdata import GITData, anticones, minimal_anticones, validate
 from .localization import EquivClass, euler_characteristic, fixed_point_list, hrr_check
@@ -31,21 +30,6 @@ def default_order() -> int:
         return int(text)
     except ValueError:
         raise InputError("TORICKIT_TRUNCATION must be an integer, got %r" % text) from None
-
-
-@dataclass
-class JobSpec:
-    command: str
-    data: GITData | None = None
-    subtorus: tuple | None = None
-    omega_plus: tuple | None = None
-    omega_minus: tuple | None = None
-    class_spec: EquivClass | None = None
-    fm_pair: tuple | None = None
-    lift_spec: EquivClass | None = None
-    order: int = 6
-    window_base: int = 0
-    as_json: bool = False
 
 
 def _parse_vector(text: str):
@@ -67,7 +51,7 @@ def parse_class(data: GITData, text: str) -> EquivClass:
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("cannot read class file: %s" % exc) from exc
         except json.JSONDecodeError as exc:
             raise InputError("invalid class JSON: %s" % exc) from exc
@@ -79,27 +63,19 @@ def parse_class(data: GITData, text: str) -> EquivClass:
     return EquivClass.from_json_list(data.r, data.m, obj)
 
 
-def _load_data(args) -> tuple[GITData, tuple | None, CatalogDefaults]:
-    defaults = CatalogDefaults()
-    if getattr(args, "example", None):
-        entry = get_example(args.example)
-        defaults.omega_plus = entry.omega_plus
-        defaults.omega_minus = entry.omega_minus
-        return entry.data, entry.subtorus, defaults
-    if getattr(args, "data", None):
+def _load_data(args) -> CatalogEntry:
+    """The data of --example, with its subtorus and default omegas, or of
+    --data, with none."""
+    if args.example:
+        return get_example(args.example)
+    if args.data:
         try:
             with open(args.data, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError("cannot read data file: %s" % exc) from exc
-        return GITData.from_json(text), None, defaults
+        return CatalogEntry(args.data, "", GITData.from_json(text))
     raise InputError("give --data FILE or --example NAME")
-
-
-@dataclass
-class CatalogDefaults:
-    omega_plus: tuple | None = None
-    omega_minus: tuple | None = None
 
 
 def _emit(report, as_json: bool, text=None):
@@ -109,34 +85,35 @@ def _emit(report, as_json: bool, text=None):
         print(text if text is not None else report)
 
 
-def run(job: JobSpec) -> int:
-    """Dispatch one job; returns the process exit code."""
-    if job.command == "catalog":
+def run(args) -> int:
+    """Dispatch one parsed command line; returns the process exit code."""
+    if args.command == "catalog":
         entries = catalog()
-        if job.as_json:
+        if args.json:
             _emit([e.to_json_dict() for e in entries], True)
         else:
             for e in entries:
                 print("%-12s %s" % (e.name, e.description))
         return 0
 
-    data = job.data
-    if job.command == "validate":
+    entry = _load_data(args)
+    data = entry.data
+    if args.command == "validate":
         report = validate(data)
-        _emit(report.to_json_dict(), job.as_json, "pass" if report.passed else "FAIL: " + "; ".join(report.failures))
+        _emit(report.to_json_dict(), args.json, "pass" if report.passed else "FAIL: " + "; ".join(report.failures))
         return 0 if report.passed else 1
 
-    if job.command == "anticones":
+    if args.command == "anticones":
         fam = anticones(data)
         locus = minimal_anticones(data)
         payload = {
             "anticones": [sorted(a) for a in sorted(fam, key=lambda s: (len(s), tuple(sorted(s))))],
             "minimal": locus.to_json_list(),
         }
-        _emit(payload, job.as_json, "anticones: %d\nminimal: %s" % (len(fam), locus))
+        _emit(payload, args.json, "anticones: %d\nminimal: %s" % (len(fam), locus))
         return 0
 
-    if job.command == "fixed-points":
+    if args.command == "fixed-points":
         rows = [
             {
                 "delta": list(fp.delta),
@@ -145,80 +122,92 @@ def run(job: JobSpec) -> int:
             }
             for fp in fixed_point_list(data)
         ]
-        _emit(rows, job.as_json, "\n".join("delta={%s} |G|=%d" % (",".join(map(str, r["delta"])), r["group_order"]) for r in rows))
+        _emit(rows, args.json, "\n".join("delta={%s} |G|=%d" % (",".join(map(str, r["delta"])), r["group_order"]) for r in rows))
         return 0
 
-    if job.command == "euler":
-        chi = euler_characteristic(data, job.class_spec, subtorus=job.subtorus)
-        payload = {"character": str(chi), "rational_after_clearing": chi.cleared_numerator().all_rational()}
-        _emit(payload, job.as_json, str(chi))
-        return 0
-
-    if job.command == "hrr-check":
-        report = hrr_check(data, job.class_spec, job.order, subtorus=job.subtorus)
-        payload = report.to_json_dict()
-        _emit(payload, job.as_json, str(report))
+    if args.command in ("euler", "hrr-check"):
+        if args.command == "hrr-check":
+            order = args.order if args.order is not None else default_order()
+            if order < 0:
+                raise InputError("the expansion order must be nonnegative, got %d" % order)
+        if args.class_spec is not None:
+            E = parse_class(data, args.class_spec)
+        else:
+            E = EquivClass.line(data.r, data.m, (0,) * data.r)
+        if args.command == "euler":
+            chi = euler_characteristic(data, E, subtorus=entry.subtorus)
+            payload = {"character": str(chi), "rational_after_clearing": chi.cleared_numerator().all_rational()}
+            _emit(payload, args.json, str(chi))
+            return 0
+        report = hrr_check(data, E, order, subtorus=entry.subtorus)
+        _emit(report.to_json_dict(), args.json, str(report))
         return 0 if report.equal else 1
 
-    if job.command in ("wallcross", "windows", "fm-check"):
-        if job.omega_plus is None or job.omega_minus is None:
-            raise InputError("give --omega-plus and --omega-minus (or use an example with a wall)")
-        base = data.with_omega(job.omega_plus)
-        wc = make_wall_crossing(base, job.omega_plus, job.omega_minus)
-        if job.command == "wallcross":
-            ext = extend(wc)
-            loci = seven_loci(ext)
-            rows = [list(r) for r in zip(*ext.data.weights)]
-            payload = {
-                **wc.to_json_dict(),
-                "extended_weights": [list(w) for w in ext.data.weights],
-                "extended_weight_rows": rows,
-                "chambers": ext.to_json_dict()["chambers"],
-                "loci": loci.to_json_dict(),
-            }
-            text = (
-                "wall normal e = (%s), crepant = %s, eta = %s\n"
-                "extended weight matrix rows: %s\nresolution locus: %s"
-                % (
-                    ",".join(map(str, wc.e)),
-                    wc.crepant,
-                    eta_invariants(wc),
-                    " / ".join(str(tuple(r)) for r in rows),
-                    loci.v_tilde,
-                )
+    # wallcross, windows and fm-check: every argument is parsed before the
+    # omegas are required, so a malformed argument is the error reported
+    omega_plus = _parse_vector(args.omega_plus) if args.omega_plus else entry.omega_plus
+    omega_minus = _parse_vector(args.omega_minus) if args.omega_minus else entry.omega_minus
+    lift = parse_class(data, args.lift) if getattr(args, "lift", None) else None
+    fm_pair = None
+    if getattr(args, "check_fm", None):
+        fm_pair = tuple(parse_class(data, t) for t in args.check_fm)
+    if args.command == "fm-check":
+        fm_pair = (parse_class(data, args.L), parse_class(data, args.M))
+    if omega_plus is None or omega_minus is None:
+        raise InputError("give --omega-plus and --omega-minus (or use an example with a wall)")
+    wc = make_wall_crossing(data.with_omega(omega_plus), omega_plus, omega_minus)
+    if args.command == "wallcross":
+        ext = extend(wc)
+        loci = seven_loci(ext)
+        rows = [list(r) for r in zip(*ext.data.weights)]
+        payload = {
+            **wc.to_json_dict(),
+            "extended_weights": [list(w) for w in ext.data.weights],
+            "extended_weight_rows": rows,
+            "chambers": ext.to_json_dict()["chambers"],
+            "loci": loci.to_json_dict(),
+        }
+        text = (
+            "wall normal e = (%s), crepant = %s, eta = %s\n"
+            "extended weight matrix rows: %s\nresolution locus: %s"
+            % (
+                ",".join(map(str, wc.e)),
+                wc.crepant,
+                eta_invariants(wc),
+                " / ".join(str(tuple(r)) for r in rows),
+                loci.v_tilde,
             )
-            _emit(payload, job.as_json, text)
-            return 0
+        )
+        _emit(payload, args.json, text)
+        return 0
 
-        stratum_plus, stratum_minus = kn_strata(wc)
-        if job.command == "windows" and job.fm_pair is None and job.lift_spec is None:
-            payload = {
-                "eta": [stratum_plus.eta, stratum_minus.eta],
-                "window": [job.window_base, job.window_base + stratum_plus.eta],
-                "M_plus": sorted(partition_M(wc)[0]),
-                "M_zero": sorted(partition_M(wc)[1]),
-                "M_minus": sorted(partition_M(wc)[2]),
-            }
-            _emit(payload, job.as_json, "eta = %s, window = [%d, %d)" % (payload["eta"], *payload["window"]))
-            return 0
+    stratum_plus, stratum_minus = kn_strata(wc)
+    base = args.window_base
+    if lift is not None:
+        lifted = window_lift(wc, lift, base=base)
+        payload = {
+            "lift": lifted.to_json_list(),
+            "weights": window_weights(lifted, stratum_plus),
+            "in_window": in_window(lifted, Window(stratum_plus, base)),
+        }
+        _emit(payload, args.json, "lift: %s\nweights: %s" % (lifted, payload["weights"]))
+        return 0
 
-        if job.lift_spec is not None:
-            lifted = window_lift(wc, job.lift_spec, base=job.window_base)
-            window = Window(stratum_plus, job.window_base)
-            payload = {
-                "lift": lifted.to_json_list(),
-                "weights": window_weights(lifted, stratum_plus),
-                "in_window": in_window(lifted, window),
-            }
-            _emit(payload, job.as_json, "lift: %s\nweights: %s" % (lifted, payload["weights"]))
-            return 0
+    if fm_pair is None:
+        M_plus, M_zero, M_minus = partition_M(wc)
+        payload = {
+            "eta": [stratum_plus.eta, stratum_minus.eta],
+            "window": [base, base + stratum_plus.eta],
+            "M_plus": sorted(M_plus),
+            "M_zero": sorted(M_zero),
+            "M_minus": sorted(M_minus),
+        }
+        _emit(payload, args.json, "eta = %s, window = [%d, %d)" % (payload["eta"], *payload["window"]))
+        return 0
 
-        L, M = job.fm_pair
-        report = fm_euler_check(wc, L, M, window_base=job.window_base)
-        _emit(report.to_json_dict(), job.as_json, str(report))
-        return 0 if report.equal else 1
-
-    raise InputError("unknown command '%s'" % job.command)
+    report = fm_euler_check(wc, *fm_pair, window_base=base)
+    _emit(report.to_json_dict(), args.json, str(report))
+    return 0 if report.equal else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,43 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def job_from_args(args) -> JobSpec:
-    job = JobSpec(command=args.command, as_json=getattr(args, "json", False))
-    if args.command == "catalog":
-        return job
-    data, subtorus, defaults = _load_data(args)
-    job.data = data
-    job.subtorus = subtorus
-    if hasattr(args, "order"):
-        job.order = args.order if args.order is not None else default_order()
-        if job.order < 0:
-            raise InputError("the expansion order must be nonnegative, got %d" % job.order)
-    if hasattr(args, "window_base"):
-        job.window_base = args.window_base
-    if getattr(args, "class_spec", None) is not None:
-        job.class_spec = parse_class(data, args.class_spec)
-    elif args.command in ("euler", "hrr-check"):
-        job.class_spec = EquivClass.line(data.r, data.m, (0,) * data.r)
-    if args.command in ("wallcross", "windows", "fm-check"):
-        op = getattr(args, "omega_plus", None)
-        om = getattr(args, "omega_minus", None)
-        job.omega_plus = _parse_vector(op) if op else defaults.omega_plus
-        job.omega_minus = _parse_vector(om) if om else defaults.omega_minus
-        if getattr(args, "lift", None):
-            job.lift_spec = parse_class(data, args.lift)
-        if getattr(args, "check_fm", None):
-            job.fm_pair = tuple(parse_class(data, t) for t in args.check_fm)
-        if args.command == "fm-check":
-            job.fm_pair = (parse_class(data, args.L), parse_class(data, args.M))
-    return job
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        job = job_from_args(args)
-        return run(job)
+        return run(args)
     except (InputError, OnWallError, NotAdjacentError, NonCrepantError) as exc:
         print("input error: %s" % exc, file=sys.stderr)
         return 2

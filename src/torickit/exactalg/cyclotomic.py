@@ -283,12 +283,16 @@ def format_fraction(q: Fraction) -> str:
 
 
 def parse_fraction(text) -> Fraction:
-    """Parse "p/q" or an integer literal (also ints, but not a bool)."""
+    """Parse "p/q" or an integer literal (also ints, but not a bool); a zero
+    denominator raises ValueError, like any other malformed number."""
     if isinstance(text, bool):
         raise ValueError("%s is not a number" % text)
     if isinstance(text, (int, Fraction)):
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError("%s has a zero denominator" % text) from None
 
 
 def parse_int(text) -> int:

@@ -181,15 +181,14 @@ def _solutions(data: GITData, size: int):
             yield frozenset(combo), x
 
 
-def _wall_cells(data: GITData, max_size=None) -> list[Anticone]:
-    """The tau with |tau| <= max_size (default r) and D_tau^{-1} omega > 0.
+def _wall_cells(data: GITData) -> list[Anticone]:
+    """The tau with |tau| <= r and D_tau^{-1} omega > 0.
 
     ``_solutions`` leaves a zero coordinate on a dependent tau, so each wall
     cell is linearly independent; tau is empty exactly when omega = 0.  The
     list comes by size and then lexicographically.
     """
-    size_cap = data.r if max_size is None else max_size
-    return [tau for size in range(size_cap + 1) for tau, x in _solutions(data, size) if all(v > 0 for v in x)]
+    return [tau for size in range(data.r + 1) for tau, x in _solutions(data, size) if all(v > 0 for v in x)]
 
 
 def anticones(data: GITData) -> list[Anticone]:
@@ -267,7 +266,11 @@ def validate(data: GITData) -> ValidationReport:
     it is the anticone rule of ``anticones`` for the full set: the cells
     and positive circuits cover {1..m}.
     """
-    cells = _wall_cells(data)
+    return _validation(data, _wall_cells(data))
+
+
+def _validation(data: GITData, cells) -> ValidationReport:
+    """The report of ``validate`` from the wall cells of the data."""
     thin = [tau for tau in cells if len(tau) < data.r]
     full = bool(cells)
     if thin:
@@ -277,11 +280,16 @@ def validate(data: GITData) -> ValidationReport:
     return ValidationReport(full, not thin, tuple(failures))
 
 
-def require_valid(data: GITData) -> None:
-    """Raise an input error naming the failures when the data is inadmissible."""
-    report = validate(data)
+def require_valid(data: GITData) -> list[Anticone]:
+    """Raise an input error naming the failures when the data is
+    inadmissible; otherwise return the fixed points (``fixed_points``) from
+    the same pass over the wall cells, all of size r and so in the order of
+    the sorted anticones."""
+    cells = _wall_cells(data)
+    report = _validation(data, cells)
     if not report.passed:
         raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
+    return cells
 
 
 def minimal_anticones(data: GITData) -> SemistableLocus:
@@ -305,7 +313,7 @@ def is_on_wall(data: GITData) -> bool:
     that is some wall cell has fewer than r elements (drop the zero
     coefficients and, by Caratheodory, the dependent characters).  With
     r = 0 omega is off every wall."""
-    return bool(_wall_cells(data, data.r - 1))
+    return any(len(tau) < data.r for tau in _wall_cells(data))
 
 
 def chamber_of(data: GITData) -> Chamber:

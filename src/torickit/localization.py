@@ -36,7 +36,7 @@ from .exactalg.cyclotomic import parse_int
 from .exactalg.laurent import exp_apply, exp_entry
 from .exactalg.lp import weights_convex
 from .exactalg.series import expand_rational
-from .gitdata import GITData, as_integer, fixed_points, require_valid
+from .gitdata import GITData, as_integer, require_valid
 
 
 class EquivClass:
@@ -265,8 +265,7 @@ def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
     torus the test always passes: w_j is 1 at coordinate j and 0 at the
     other tangent coordinates, so their sum is positive on every w_j.
     """
-    require_valid(data)
-    fps = [fixed_point_data(data, d) for d in sorted(fixed_points(data), key=lambda s: tuple(sorted(s)))]
+    fps = [fixed_point_data(data, d) for d in require_valid(data)]
     if subtorus is not None:
         for fp in fps:
             if not weights_convex([exp_apply(subtorus, fp.tangent_weights[j]) for j in fp.tangent_indices]):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
 from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
-from .gitdata import Chamber, GITData, chamber_of, is_on_wall, minimal_anticones, validate
+from .gitdata import Chamber, GITData, chamber_of, minimal_anticones, validate
 from .localization import EquivClass
 
 
@@ -82,9 +82,9 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
     data_p = base.with_omega(omega_plus)
     data_m = base.with_omega(omega_minus)
     for side, data in (("plus", data_p), ("minus", data_m)):
-        if is_on_wall(data):
+        rep = validate(data)  # spanning fails exactly on a wall (``validate``)
+        if not rep.spanning_ok:
             raise OnWallError("omega_%s lies on a wall (degenerate)" % side)
-        rep = validate(data)
         if not rep.passed:
             raise InputError("omega_%s is not admissible: %s" % (side, "; ".join(rep.failures)))
     if minimal_anticones(data_p) == minimal_anticones(data_m):

@@ -248,17 +248,40 @@ def test_fixed_points_rejects_invalid_data_like_euler(capsys, tmp_path, text, fa
         ["euler", "--example", "conifold", "--class", '[{{"u": [true]}}]'],
         ["euler", "--example", "conifold", "--class", '[{{"u": [1], "s": [0, 0, 0, false]}}]'],
         ["euler", "--example", "conifold", "--class", '[{{"u": [1], "coeff": true}}]'],
+        # a zero denominator is a malformed number, not a division
+        ["validate", "--data", "{zero_omega}"],
+        ["wallcross", "--example", "conifold", "--omega-plus", "1/0", "--omega-minus", "-1"],
+        ["euler", "--example", "p12", "--class", '[{{"u": ["1/0"]}}]'],
     ],
     ids=[
         "fractional-weight", "fractional-class", "non-numeric-class", "non-numeric-omega",
         "boolean-class-u", "boolean-class-s", "boolean-class-coeff",
+        "zero-denominator-data", "zero-denominator-omega", "zero-denominator-class",
     ],
 )
 def test_malformed_number_exits_2(capsys, tmp_path, argv):
     path = tmp_path / "data.json"
     path.write_text('{"r": 1, "m": 2, "weights": [[1.5], [2]], "omega": ["1"]}')
-    code, out, err = run_cli(capsys, *[a.format(data=path) for a in argv])
+    zero_omega = tmp_path / "zero_omega.json"
+    zero_omega.write_text('{"r": 1, "m": 2, "weights": [[1], [2]], "omega": ["1/0"]}')
+    code, out, err = run_cli(capsys, *[a.format(data=path, zero_omega=zero_omega) for a in argv])
     assert code == 2 and out == "" and err.startswith("input error:")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["validate", "--data", "{path}"], "cannot read data file: "),
+        (["euler", "--example", "p12", "--class", "@{path}"], "cannot read class file: "),
+    ],
+    ids=["data-file", "class-file"],
+)
+def test_non_utf8_file_exits_2(capsys, tmp_path, argv, message):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"omega": ["\xff"]}')
+    code, out, err = run_cli(capsys, *[a.format(path=path) for a in argv])
+    assert code == 2 and out == ""
+    assert err.startswith("input error: " + message) and "codec can't decode" in err
 
 
 @pytest.mark.parametrize(

@@ -258,6 +258,20 @@ def test_euler_rejects_invalid_data():
         euler_characteristic(bad, EquivClass.line(1, 2, (0,)))
 
 
+def test_fixed_point_list_passes_over_the_wall_cells_once(monkeypatch):
+    # validation and the fixed points come from one list of wall cells,
+    # already in the order of the sorted anticones
+    from torickit import gitdata
+
+    calls = []
+    wall_cells = gitdata._wall_cells
+    monkeypatch.setattr(gitdata, "_wall_cells", lambda data: calls.append(data) or wall_cells(data))
+    data = GITData.make(2, [(1, 0), (1, 0), (0, 1), (1, 1)], ["1", "2"])
+    fps = fixed_point_list(data)
+    assert len(calls) == 1
+    assert [fp.delta for fp in fps] == sorted(tuple(sorted(d)) for d in wall_cells(data))
+
+
 def test_sections_character_c2():
     sec = sections_character(C2, (), bound=3)
     assert len(sec.terms) == 10  # monomials of total degree <= 3 in two variables

@@ -70,12 +70,27 @@ def test_cli_answers_unchanged_under_python_O(tmp_path):
     p123 = tmp_path / "p123.json"
     p123.write_text(json.dumps({"r": 1, "m": 3, "weights": [[1], [2], [3]], "omega": ["1"]}))
     argvs += [["hrr-check", "--data", str(p123), "--class", "O(1)", "--order", "2"]]
+    # every branch of the wall-crossing dispatch, across the conifold flop
+    # and the kp2 flop to C^3/Z_3
+    argvs += [
+        [command, "--example", name, *extra]
+        for name in ("conifold", "kp2")
+        for command, extra in (
+            ("fixed-points", []),
+            ("wallcross", []),
+            ("windows", []),
+            ("windows", ["--lift", "O(1)"]),
+            ("windows", ["--check-fm", "O(0)", "O(1)"]),
+            ("fm-check", ["--L", "O(0)", "--M", "O(1)"]),
+        )
+    ]
     plain, optimized = _run([], argvs), _run(["-O"], argvs)
     assert (plain["optimize"], optimized["optimize"]) == (0, 1)
     assert optimized["results"] == plain["results"]
     # at omega = 1 all four succeed; at omega = 0 validate reports the failures
-    # and euler and hrr-check refuse the data as an input error
-    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2, 0, 0, 0]
+    # and euler and hrr-check refuse the data as an input error; both FM
+    # checks pass on both flops
+    assert [code for code, _, _ in plain["results"]] == [0, 0, 0, 0, 1, 0, 2, 2, 0, 0, 0] + [0] * 12
 
 
 def test_benchmark_layer_modules_import():
