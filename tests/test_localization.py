@@ -459,6 +459,31 @@ def test_twisted_hrr_rationality_guard_fires(monkeypatch, capsys, tmp_path):
     assert "internal error:" in capsys.readouterr().err
 
 
+def hrr_order_cases():
+    """The benchmark's hrr-order battery, at the orders where its graded
+    pieces are products of many-term polynomials."""
+    kp2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
+    cases = {
+        "kp2 O(1) order 2": (kp2, EquivClass.line(1, 4, (1,)), 2, None),
+        "kp2 omega=-1 O(1) order 4": (kp2.with_omega(["-1"]), EquivClass.line(1, 4, (1,)), 4, None),
+    }
+    for k in (0, 1, 2):
+        cases["P(1,2) O(%d) order 6" % k] = (P12, EquivClass.line(1, 2, (k,)), 6, None)
+    cases["C2 diagonal O order 6"] = (C2, EquivClass.line(0, 2, ()), 6, DIAG)
+    return cases
+
+
+def test_hrr_order_golden():
+    # hrr_check JSON at orders 2, 4 and 6: pins every graded piece the
+    # rational polynomial products build
+    produced = {
+        name: hrr_check(data, E, order, subtorus=sub).to_json_dict()
+        for name, (data, E, order, sub) in hrr_order_cases().items()
+    }
+    text = json.dumps(produced, indent=2, sort_keys=True) + "\n"
+    assert text.encode("utf-8") == (GOLDEN / "hrr_orders.json").read_bytes()
+
+
 def test_twisted_hrr_golden_equal_sides_print_identically():
     # equal sides expand over one denominator, so they print the same string
     golden = json.loads((GOLDEN / "twisted_hrr.json").read_text())
