@@ -11,7 +11,10 @@ keys compare and hash by value, since hash(Fraction(n)) == hash(n).
 
 from __future__ import annotations
 
+import operator
+from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 from .cyclotomic import Cyc, format_fraction
 
@@ -31,7 +34,7 @@ def exp_zero(nvars: int) -> Exponent:
     return (0,) * nvars
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 def exp_apply(matrix, a: Exponent) -> Exponent:
     """Substitute lambda = A.mu: exponent q becomes A^T q (rows of A indexed like q)."""
@@ -47,6 +50,16 @@ def exp_apply(matrix, a: Exponent) -> Exponent:
 
 def format_exponent(q: Exponent) -> str:
     return "e[" + ",".join(format_fraction(Fraction(x)) for x in q) + "]"
+
+
+def _cleared(p: "LaurentPoly"):
+    """p's coefficients as integer numerators over the lcm of their
+    denominators, or None when one of them is not rational."""
+    values = [c.coeffs[0] for c in p.terms.values() if c.n == 1]
+    if len(values) < len(p.terms):
+        return None
+    den = lcm(*(v.denominator for v in values))
+    return {q: v.numerator * (den // v.denominator) for q, v in zip(p.terms, values)}, den
 
 
 class LaurentPoly:
@@ -112,19 +125,35 @@ class LaurentPoly:
             if not other:
                 return LaurentPoly.zero(self.nvars)
             c0 = other if isinstance(other, Cyc) else Cyc.rational(other)
-            return LaurentPoly(self.nvars, {q: c * c0 for q, c in self.terms.items()})
-        self._check(other)
-        terms = {}
-        for q1, c1 in self.terms.items():
-            for q2, c2 in other.terms.items():
-                q = exp_add(q1, q2)
-                c = c1 * c2
-                acc = terms.get(q)
-                s = c if acc is None else acc + c
-                if s:
-                    terms[q] = s
-                elif acc is not None:
-                    del terms[q]
+            s = c0.coeffs[0] if c0.n == 1 else None
+            terms = {
+                q: Cyc.rational(c.coeffs[0] * s) if s is not None and c.n == 1 else c * c0
+                for q, c in self.terms.items()
+            }
+        else:
+            self._check(other)
+            a, b = _cleared(self), _cleared(other)
+            if a and b:
+                # rational operands: integer products over one denominator
+                (num_a, den_a), (num_b, den_b) = a, b
+                acc = defaultdict(int)
+                for q1, x in num_a.items():
+                    for q2, y in num_b.items():
+                        acc[exp_add(q1, q2)] += x * y
+                den = den_a * den_b
+                terms = {q: Cyc.rational(Fraction(v, den)) for q, v in acc.items() if v}
+            else:
+                terms = {}
+                for q1, c1 in self.terms.items():
+                    for q2, c2 in other.terms.items():
+                        q = exp_add(q1, q2)
+                        c = c1 * c2
+                        acc = terms.get(q)
+                        s = c if acc is None else acc + c
+                        if s:
+                            terms[q] = s
+                        elif acc is not None:
+                            del terms[q]
         out = LaurentPoly.__new__(LaurentPoly)
         out.nvars, out.terms = self.nvars, terms
         return out

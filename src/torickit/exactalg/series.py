@@ -222,9 +222,7 @@ def power_tseries(linear: LaurentPoly, nmax: int, coefficient, scale=None) -> di
         a = coefficient(n)
         if not a:
             continue
-        piece = power * a
-        if scale is not None:
-            piece = piece * scale
+        piece = power * (a if scale is None else a * scale)
         if not piece.is_zero():
             out[n] = piece
     return out

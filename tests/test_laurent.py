@@ -120,3 +120,58 @@ def test_zero_scalar_product_builds_no_coefficients(monkeypatch):
         built.clear()
         assert (p * zero).is_zero() and (zero * p).is_zero()
         assert built == []
+
+
+def _refuse_cyc_arithmetic(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("rational product reached Cyc arithmetic")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Cyc, name, refuse)
+
+
+def _rational_terms(terms):
+    return {q: Cyc.rational(c) for q, c in terms.items()}
+
+
+def test_rational_products_use_integer_arithmetic(monkeypatch):
+    # mixed denominators and a fractional exponent; no term pair goes
+    # through Cyc multiplication or addition
+    p = LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(-3, 4), (Fraction(1, 2), 0): Fraction(2, 3)})
+    q = LaurentPoly(2, {(1, 0): Fraction(1, 3), (0, 0): 5})
+    _refuse_cyc_arithmetic(monkeypatch)
+    assert (p * q).terms == _rational_terms({
+        (2, 0): Fraction(1, 6),
+        (1, 0): Fraction(5, 2),
+        (1, 1): Fraction(-1, 4),
+        (0, 1): Fraction(-15, 4),
+        (Fraction(3, 2), 0): Fraction(2, 9),
+        (Fraction(1, 2), 0): Fraction(10, 3),
+    })
+    assert (q * p).terms == (p * q).terms
+    assert (p * LaurentPoly.zero(2)).terms == {}
+    scaled = {(1, 0): Fraction(3, 4), (0, 1): Fraction(-9, 8), (Fraction(1, 2), 0): Fraction(1)}
+    assert (p * Fraction(3, 2)).terms == _rational_terms(scaled)
+    assert (p * Cyc.rational(Fraction(3, 2))).terms == _rational_terms(scaled)
+    assert (Fraction(3, 2) * p).terms == _rational_terms(scaled)
+    assert (q * -2).terms == _rational_terms({(1, 0): Fraction(-2, 3), (0, 0): -10})
+
+
+def test_rational_product_cancellation_leaves_no_zero_keys(monkeypatch):
+    one_plus = LaurentPoly(1, {(0,): 1, (1,): 1})
+    one_minus = LaurentPoly(1, {(0,): 1, (1,): -1})
+    half_plus = LaurentPoly(1, {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
+    half_minus = LaurentPoly(1, {(0,): Fraction(1, 2), (1,): Fraction(-1, 3)})
+    _refuse_cyc_arithmetic(monkeypatch)
+    assert (one_plus * one_minus).terms == _rational_terms({(0,): 1, (2,): -1})
+    assert (half_plus * half_minus).terms == _rational_terms({(0,): Fraction(1, 4), (2,): Fraction(-1, 9)})
+
+
+def test_product_with_a_root_of_unity_is_zeta_times_the_rational_product():
+    z = Cyc.root_of_unity(Fraction(1, 3))
+    p = LaurentPoly(2, {(1, 0): Fraction(1, 2), (0, Fraction(1, 2)): -3})
+    q = LaurentPoly(2, {(1, 0): Fraction(1, 3), (0, 0): 5})
+    expected = {k: z * c for k, c in (p * q).terms.items()}
+    assert len(expected) == 4
+    assert ((p * z) * q).terms == expected
+    assert (q * (z * p)).terms == expected

@@ -31,6 +31,9 @@ factors = st.builds(
 polys = st.dictionaries(exponents, st.integers(-3, 3).filter(bool), min_size=1, max_size=3).map(
     lambda terms: LaurentPoly(NVARS, terms)
 )
+fraction_polys = st.dictionaries(
+    exponents, st.fractions(-3, 3, max_denominator=6).filter(bool), max_size=4
+).map(lambda terms: LaurentPoly(NVARS, terms))
 characters = st.lists(st.tuples(polys, st.lists(factors, max_size=2)), min_size=1, max_size=2).map(
     lambda terms: RationalCharacter(NVARS, terms)
 )
@@ -70,6 +73,20 @@ def _rewritten(x: RationalCharacter) -> RationalCharacter:
         out = out + RationalCharacter.fraction(num, den[1:])
         out = out + RationalCharacter.fraction(num * LaurentPoly.monomial(x.nvars, f.mu, f.c), den)
     return out
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fraction_polys, fraction_polys, st.fractions(-3, 3, max_denominator=6))
+@example(  # (1 + x1/2)(1 - x1/2): the middle terms cancel
+    LaurentPoly(NVARS, {(0, 0): 1, (1, 0): Fraction(1, 2)}),
+    LaurentPoly(NVARS, {(0, 0): 1, (1, 0): Fraction(-1, 2)}),
+    Fraction(1),
+)
+def test_rational_product_matches_sympy_expand(a, b, s):
+    product = a * b
+    assert all(product.terms.values())
+    assert _poly(product) == sympy.expand(_poly(a) * _poly(b))
+    assert _poly(a * s) == sympy.expand(_poly(a) * sympy.Rational(s.numerator, s.denominator))
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
