@@ -327,12 +327,3 @@ def chamber_of(data: GITData) -> Chamber:
         for row in inv:
             normals.add(primitive_integer_vector(row))
     return Chamber(tuple(sorted(normals)), data.omega)
-
-
-def same_chamber(data: GITData, other_omega) -> bool:
-    """Two stability conditions are in one chamber iff their anticone
-    families agree; off the walls, iff their cells agree."""
-    other = data.with_omega(other_omega)
-    if is_on_wall(data) or is_on_wall(other):
-        return False
-    return _wall_cells(data) == _wall_cells(other)

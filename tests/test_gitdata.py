@@ -15,7 +15,6 @@ from torickit.gitdata import (
     fixed_points,
     is_on_wall,
     minimal_anticones,
-    same_chamber,
     validate,
 )
 from torickit.exactalg.lp import weights_convex
@@ -109,6 +108,9 @@ def test_chamber_of_conifold():
     ch = chamber_of(CONIFOLD)
     assert ch.normals == ((1,),)
     assert ch.contains(["5"]) and not ch.contains(["-1"])
+    # the anticone family is constant on a chamber and changes across its wall
+    assert anticones(CONIFOLD) == anticones(CONIFOLD.with_omega(["7/3"]))
+    assert anticones(CONIFOLD) != anticones(CONIFOLD.with_omega(["-2"]))
 
 
 def test_chamber_on_wall_rejected():
@@ -116,12 +118,6 @@ def test_chamber_on_wall_rejected():
         chamber_of(CONIFOLD.with_omega(["0"]))
     assert is_on_wall(CONIFOLD.with_omega(["0"]))
     assert not is_on_wall(CONIFOLD)
-
-
-def test_same_chamber():
-    assert same_chamber(CONIFOLD, ["7/3"])
-    assert not same_chamber(CONIFOLD, ["-2"])
-    assert anticones(CONIFOLD) == anticones(CONIFOLD.with_omega(["7/3"]))
 
 
 def test_weights_convex_examples():
