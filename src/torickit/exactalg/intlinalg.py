@@ -1,9 +1,10 @@
 """Exact integer and rational linear algebra.
 
-Matrices are small and dense; everything runs over Python ints and
+Matrices are small and dense, and every entry is a Python int or a
 fractions.Fraction, so there is no overflow and no rounding anywhere.
 Every rational question (solve, rank, inverse, kernel, determinant) is
-answered by the one Gauss-Jordan kernel ``rref``; the Smith normal form
+answered by the one fraction-free kernel ``_eliminate``, which runs in
+``int``; ``Fraction`` appears only in the answers.  The Smith normal form
 keeps its own integer-unimodular elimination.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 @dataclass(frozen=True)
@@ -56,22 +57,12 @@ class IntMatrix:
         )
 
     def det(self) -> int:
-        """Determinant by cofactor descent on inverses: for A invertible,
-        (A^-1)_{j0} = (-1)^j det(A without row 0 and column j) / det(A), and
-        column 0 of A^-1 has a nonzero entry."""
+        """(-1)^swaps times the last pivot of ``_eliminate``, the determinant
+        of the row-permuted matrix; 0 when a column has no pivot."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        a = [list(row) for row in self.entries]
-        det = Fraction(1)
-        while a:
-            try:
-                column = [row[0] for row in rational_inverse(a)]
-            except ValueError:
-                return 0
-            j = next(j for j, x in enumerate(column) if x)
-            det *= (-1) ** j / column[j]
-            a = [row[:j] + row[j + 1:] for row in a[1:]]
-        return det.numerator
+        _, pivots, last, sign = _eliminate(self.entries, self.cols)
+        return sign * last if len(pivots) == self.cols else 0
 
     def is_unimodular(self) -> bool:
         return self.rows == self.cols and abs(self.det()) == 1
@@ -151,30 +142,47 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return IntMatrix.from_rows(u), IntMatrix.from_rows(a), IntMatrix.from_rows(v)
 
 
-def rref(rows, ncols):
-    """Gauss-Jordan elimination over the rationals on the first ``ncols`` columns.
-
-    Returns ``(rows, pivots)``: the rows in reduced row echelon form on
-    those columns (entries past ``ncols`` ride along as augmented columns)
-    and the pivot column of each leading row; the rows past ``len(pivots)``
-    vanish on the first ``ncols`` columns.
+def _eliminate(rows, ncols):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the first ``ncols``
+    columns: each row is cleared by the lcm of its denominators, and for the
+    pivot p at (k, col), prev the pivot before it (1 at the start), every
+    other row becomes (p*row - row[col]*pivot_row) // prev, an exact division
+    since each entry is an integer minor (Sylvester's identity).  Returns the
+    integer rows, the pivot columns, the last pivot, which every pivot row
+    carries at its pivot column, and (-1)^swaps.
     """
-    a = [[Fraction(x) for x in row] for row in rows]
+    a = []
+    for row in rows:
+        den = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (den // x.denominator) for x in row])
     pivots = []
+    prev = sign = 1
     for col in range(ncols):
-        row = len(pivots)
-        sel = next((r for r in range(row, len(a)) if a[r][col]), None)
+        k = len(pivots)
+        sel = next((r for r in range(k, len(a)) if a[r][col]), None)
         if sel is None:
             continue
-        a[row], a[sel] = a[sel], a[row]
-        inv = 1 / a[row][col]
-        a[row] = [x * inv for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        if sel != k:
+            a[k], a[sel] = a[sel], a[k]
+            sign = -sign
+        pivot_row = a[k]
+        p = pivot_row[col]
+        for r, row in enumerate(a):
+            if r != k:
+                f = row[col]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(row, pivot_row)]
         pivots.append(col)
-    return a, pivots
+        prev = p
+    return a, pivots, prev, sign
+
+
+def rref(rows, ncols):
+    """``(rows, pivots)``: the reduced row echelon form over the rationals on
+    the first ``ncols`` columns, later columns riding along as augmented
+    ones, and the pivot column of each leading row.  The rows past
+    ``len(pivots)`` vanish on the first ``ncols`` columns."""
+    a, pivots, last, _ = _eliminate(rows, ncols)
+    return [[Fraction(x, last) for x in row] for row in a], pivots
 
 
 def rational_solve(a_columns, b):
@@ -187,18 +195,18 @@ def rational_solve(a_columns, b):
     ncols = len(a_columns)
     if any(len(c) != len(b) for c in a_columns):
         raise ValueError("dimension mismatch")
-    rows, pivots = rref([[c[i] for c in a_columns] + [b[i]] for i in range(len(b))], ncols)
-    if any(row[ncols] for row in rows[len(pivots):]):
+    a, pivots, last, _ = _eliminate([[c[i] for c in a_columns] + [b[i]] for i in range(len(b))], ncols)
+    if any(row[ncols] for row in a[len(pivots):]):
         return None
     x = [Fraction(0)] * ncols
-    for row, col in zip(rows, pivots):
-        x[col] = row[ncols]
+    for row, col in zip(a, pivots):
+        x[col] = Fraction(row[ncols], last)
     return x
 
 
 def rational_rank(vectors) -> int:
     vectors = list(vectors)
-    return len(rref(vectors, len(vectors[0]))[1]) if vectors else 0
+    return len(_eliminate(vectors, len(vectors[0]))[1]) if vectors else 0
 
 
 def rational_inverse(rows):
@@ -213,13 +221,13 @@ def rational_inverse(rows):
 def kernel_basis(rows, ncols):
     """A basis of {x in Q^ncols : row . x == 0 for every row}, one vector per
     free column (1 there, 0 at the other free columns)."""
-    reduced, pivots = rref(rows, ncols)
+    reduced, pivots, last, _ = _eliminate(rows, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[free] = Fraction(1)
         for row, col in zip(reduced, pivots):
-            vec[col] = -row[free]
+            vec[col] = Fraction(-row[free], last)
         basis.append(vec)
     return basis
 
@@ -229,11 +237,7 @@ def primitive_integer_vector(v) -> tuple[int, ...]:
     v = [Fraction(x) for x in v]
     if not any(v):
         raise ValueError("zero vector has no primitive form")
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)

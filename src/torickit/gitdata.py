@@ -302,7 +302,11 @@ def fixed_points(data: GITData) -> list[Anticone]:
     """Anticones of size r, which index the torus-fixed points: off the
     walls, the wall cells.  On a wall there is no orbifold quotient to
     localize on, and the call raises ``OnWallError``."""
-    cells = _wall_cells(data)
+    return _fixed_points(data, _wall_cells(data))
+
+
+def _fixed_points(data: GITData, cells) -> list[Anticone]:
+    """``fixed_points`` from the wall cells of the data."""
     if any(len(tau) < data.r for tau in cells):
         raise OnWallError("stability condition lies on a wall")
     return cells
@@ -319,11 +323,14 @@ def is_on_wall(data: GITData) -> bool:
 def chamber_of(data: GITData) -> Chamber:
     """The chamber containing omega, as the strict inequalities of the
     simplicial cones attached to the minimal anticones."""
-    normals = set()
-    for delta in fixed_points(data):
-        cols = data.submatrix_columns(delta)
-        matrix = [[Fraction(cols[j][i]) for j in range(data.r)] for i in range(data.r)]
-        inv = rational_inverse(matrix)
-        for row in inv:
-            normals.add(primitive_integer_vector(row))
+    return _chamber(data, _wall_cells(data))
+
+
+def _chamber(data: GITData, cells) -> Chamber:
+    """``chamber_of`` from the wall cells of the data."""
+    normals = {
+        primitive_integer_vector(row)
+        for delta in _fixed_points(data, cells)
+        for row in rational_inverse(list(zip(*data.submatrix_columns(delta))))
+    }
     return Chamber(tuple(sorted(normals)), data.omega)

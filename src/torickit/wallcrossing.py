@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
 from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
-from .gitdata import Chamber, GITData, chamber_of, minimal_anticones, validate
+from .gitdata import Chamber, GITData, _chamber, _validation, _wall_cells, minimal_anticones
 from .localization import EquivClass
 
 
@@ -81,13 +81,14 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
     omega_minus = tuple(parse_fraction(x) for x in omega_minus)
     data_p = base.with_omega(omega_plus)
     data_m = base.with_omega(omega_minus)
-    for side, data in (("plus", data_p), ("minus", data_m)):
-        rep = validate(data)  # spanning fails exactly on a wall (``validate``)
+    cells = [_wall_cells(data_p), _wall_cells(data_m)]  # the minimal anticones of each side
+    for side, data, side_cells in (("plus", data_p, cells[0]), ("minus", data_m, cells[1])):
+        rep = _validation(data, side_cells)  # spanning fails exactly on a wall (``validate``)
         if not rep.spanning_ok:
             raise OnWallError("omega_%s lies on a wall (degenerate)" % side)
         if not rep.passed:
             raise InputError("omega_%s is not admissible: %s" % (side, "; ".join(rep.failures)))
-    if minimal_anticones(data_p) == minimal_anticones(data_m):
+    if cells[0] == cells[1]:
         raise NotAdjacentError("the two stability conditions lie in the same chamber")
 
     def point(t: Fraction):
@@ -181,13 +182,7 @@ class ExtendedGIT:
         lambda_j -> lambda_j + twist_j * lambda_{m+1}."""
         m = self.wc.base.m
         twists = self.exponent_twists(side)
-        rows = []
-        for j in range(m):
-            row = [0] * (m + 1)
-            row[j] = 1
-            row[m] = twists[j]
-            rows.append(row)
-        return rows
+        return [[int(i == j) for i in range(m)] + [twists[j]] for j in range(m)]
 
     def to_json_dict(self) -> dict:
         from .exactalg import format_fraction
@@ -215,10 +210,7 @@ def _verify_contraction(ext: ExtendedGIT, side: str):
         dj_ext = ext.data.character(j)
         dm1 = ext.data.character(m + 1)
         monomial_char = tuple(a + twists[j - 1] * b for a, b in zip(dj_ext, dm1))
-        if side == "-":
-            expected = tuple(wc.base.character(j)) + (0,)
-        else:
-            expected = tuple(wc.base.character(j)) + (-wc.pairing(j),)
+        expected = tuple(wc.base.character(j)) + (0 if side == "-" else -wc.pairing(j),)
         if monomial_char != expected:
             raise AssertionError("contraction %s is not equivariant at coordinate %d" % (side, j))
 
@@ -257,38 +249,38 @@ def extend(wc: WallCrossing) -> ExtendedGIT:
     data = GITData.make(base.r + 1, weights, omega_p)
     omega_t = wc.omega_zero + (-_resolution_offset(data, wc.omega_zero),)
     data_t = data.with_omega(omega_t)
-    report = validate(data_t)  # on a wall a wall cell of size <= r fails to span
+    data_m = data.with_omega(omega_m)
+    cells_t = _wall_cells(data_t)
+    report = _validation(data_t, cells_t)  # on a wall a wall cell of size <= r fails to span
     if not report.passed:
         raise InputError("the resolution chamber is not admissible: %s" % "; ".join(report.failures))
 
+    cells_p, cells_m = _wall_cells(data), _wall_cells(data_m)
     ext = ExtendedGIT(
         wc,
         data_t,
         omega_p,
         omega_m,
         omega_t,
-        chamber_of(data),
-        chamber_of(data.with_omega(omega_m)),
-        chamber_of(data_t),
+        _chamber(data, cells_p),
+        _chamber(data_m, cells_m),
+        _chamber(data_t, cells_t),
     )
     _verify_contraction(ext, "+")
     _verify_contraction(ext, "-")
-    _verify_reductions(ext)
+    _verify_reductions(ext, cells_p, cells_m)
     return ext
 
 
-def _verify_reductions(ext: ExtendedGIT):
+def _verify_reductions(ext: ExtendedGIT, cells_plus, cells_minus):
     """At the side stability conditions every anticone contains the extra
-    index, and deleting it recovers the base semistable loci."""
+    index, and deleting it recovers the base semistable loci.  The cells
+    are the minimal anticones of ``ext.data_plus`` and ``ext.data_minus``."""
     m1 = ext.wc.base.m + 1
-    for side_data, base_data in (
-        (ext.data_plus, ext.wc.data_plus),
-        (ext.data_minus, ext.wc.data_minus),
-    ):
-        minimal = minimal_anticones(side_data).minimal
+    for minimal, base_data in ((cells_plus, ext.wc.data_plus), (cells_minus, ext.wc.data_minus)):
         if any(m1 not in a for a in minimal):
             raise AssertionError("an anticone at a side stability misses the extra index")
-        if {a - {m1} for a in minimal} != set(minimal_anticones(base_data).minimal):
+        if {a - {m1} for a in minimal} != set(_wall_cells(base_data)):
             raise AssertionError("side chamber does not reduce to the base quotient")
 
 
@@ -304,10 +296,7 @@ def pullback_class(ext: ExtendedGIT, side: str, E: EquivClass) -> EquivClass:
     twists = ext.exponent_twists(side)
     terms = {}
     for (u, s), coeff in E.terms.items():
-        if side == "-":
-            u2 = tuple(u) + (0,)
-        else:
-            u2 = tuple(u) + (-sum(a * b for a, b in zip(u, wc.e)),)
+        u2 = tuple(u) + (0 if side == "-" else -sum(a * b for a, b in zip(u, wc.e)),)
         s2 = tuple(s) + (sum(a * b for a, b in zip(s, twists)),)
         terms[(u2, s2)] = terms.get((u2, s2), 0) + coeff
     return EquivClass(wc.base.r + 1, wc.base.m + 1, terms)

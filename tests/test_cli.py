@@ -211,7 +211,7 @@ def test_euler_at_isotropy_order_200(capsys, tmp_path):
 def test_internal_invariant_failure_exits_3(capsys, monkeypatch):
     import torickit.wallcrossing as wallcrossing
 
-    def broken(ext):
+    def broken(ext, cells_plus, cells_minus):
         raise AssertionError("side chamber does not reduce to the base quotient")
 
     monkeypatch.setattr(wallcrossing, "_verify_reductions", broken)

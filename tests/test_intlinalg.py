@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import rref_reference
 from torickit.exactalg.intlinalg import (
     IntMatrix,
     kernel_basis,
@@ -135,3 +136,89 @@ def test_kernel_basis_spans_the_kernel():
         assert rational_rank(basis) == len(basis)
         for vec in basis:
             assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+
+def _random_rows(rng, kind):
+    """A seeded draw of one kind: integer or mixed ``Fraction`` entries, with
+    zero rows and columns, rank deficiency and augmented columns mixed in."""
+    nrows, width = rng.randint(0, 5), rng.randint(0, 6)
+
+    def entry():
+        if rng.random() < 0.25:
+            return 0
+        if kind == "int" or rng.random() < 0.4:
+            return rng.randint(-6, 6)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 8))
+
+    rows = [[entry() for _ in range(width)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.3:
+        rows[rng.randrange(nrows)] = [0] * width
+    if width and rng.random() < 0.3:
+        j = rng.randrange(width)
+        for row in rows:
+            row[j] = 0
+    if nrows >= 2 and rng.random() < 0.4:  # one row a combination of two others
+        a, b = rng.randrange(nrows), rng.randrange(nrows)
+        s, t = rng.randint(-3, 3), Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[rng.randrange(nrows)] = [s * x + t * y for x, y in zip(rows[a], rows[b])]
+    return rows, rng.randint(0, width)
+
+
+def test_rref_matches_the_fraction_reference():
+    # the reduced form is unique, so the pivots and pivot rows must be those
+    # of the Fraction Gauss-Jordan reference; the trailing rows vanish on the
+    # first ncols columns and keep the reference's zero pattern after them
+    rng = random.Random(19)
+    seen = dict.fromkeys(["empty", "augmented", "deficient", "inconsistent", "fraction"], 0)
+    for draw in range(2400):
+        rows, ncols = _random_rows(rng, "int" if draw % 2 else "mixed")
+        got, pivots = rref(rows, ncols)
+        expected, expected_pivots = rref_reference.rref(rows, ncols)
+        assert pivots == expected_pivots, (rows, ncols)
+        k = len(pivots)
+        assert got[:k] == expected[:k], (rows, ncols)
+        assert len(got) == len(expected)
+        for row, ref in zip(got[k:], expected[k:]):
+            assert not any(row[:ncols]), (rows, ncols)
+            assert [bool(x) for x in row[ncols:]] == [bool(x) for x in ref[ncols:]], (rows, ncols)
+        seen["empty"] += not rows or not rows[0]
+        seen["augmented"] += bool(rows) and ncols < len(rows[0])
+        seen["deficient"] += k < min(len(rows), ncols)
+        seen["inconsistent"] += any(any(row[ncols:]) for row in expected[k:])
+        seen["fraction"] += any(type(x) is Fraction and x.denominator > 1 for row in rows for x in row)
+    assert min(seen.values()) >= 100, seen
+
+
+def _fraction_arithmetic_raises(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Fraction arithmetic inside the elimination")
+
+    for name in ("add", "sub", "mul", "truediv"):
+        monkeypatch.setattr(Fraction, "__%s__" % name, refuse)
+        monkeypatch.setattr(Fraction, "__r%s__" % name, refuse)
+
+
+def test_elimination_runs_without_fraction_arithmetic(monkeypatch):
+    # Fraction appears only in the answers: every kernel call gives the
+    # reference's values with Fraction's arithmetic operators disabled
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    systems = [
+        ([[0, 2, 4, 1], [1, 1, 1, 0], [1, 3, 5, 1]], 3),
+        ([[half, 1, third, 2], [third, half, 0, 1], [1, 2, 2 * third, 4]], 3),
+    ]
+    expected_rref = [rref_reference.rref(rows, ncols) for rows, ncols in systems]
+    x = Fraction(7, 3)
+    _fraction_arithmetic_raises(monkeypatch)
+    assert [rref(rows, ncols) for rows, ncols in systems] == expected_rref
+    assert rational_solve([(1, 2), (2, 1)], (3, 3)) == [1, 1]
+    assert rational_solve([(half, 1), (third, 0)], (1, 2)) == [2, Fraction(0)]
+    assert rational_solve([(2, 4), (1, 2)], (half, 1)) == [Fraction(1, 4), 0]
+    assert rational_solve([(half, 1)], (1, 0)) is None
+    assert rational_inverse([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert rational_inverse([[half, 0], [third, x]]) == [[2, 0], [Fraction(2, 7), Fraction(3, 7)]]
+    assert kernel_basis([(1, 1, 0)], 3) == [[-1, 1, 0], [0, 0, 1]]
+    assert kernel_basis([(half, third, 1)], 3) == [[Fraction(2, 3), 1, 0], [-2, 0, 1]]
+    assert rational_rank([(half, 1), (1, 2)]) == 1
+    assert IntMatrix.from_rows([[0, 0, 3], [0, 2, 0], [5, 0, 0]]).det() == -30
+    assert IntMatrix.from_rows([[2, 1], [4, 2]]).det() == 0
+    assert IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]]).det() == -90

@@ -4,7 +4,8 @@ Small rational characters with rational coefficients and integer exponents
 are drawn by hypothesis, written out as sympy expressions in x_i = e^{lambda_i}
 and compared: equality through ``cancel``, Laurent-polynomial recognition
 through the reduced denominator, and graded expansions through ``series``
-in t after x_i -> exp(t * l_i).  sympy is only needed for the tests.
+in t after x_i -> exp(t * l_i).  The exact linear algebra is compared with
+sympy's ``rref``, ``inv`` and ``det``.  sympy is only needed for the tests.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from torickit.exactalg import Cyc, Factor, LaurentPoly, RationalCharacter, expand_rational, rat_equal
+from torickit.exactalg.intlinalg import IntMatrix, rational_inverse, rref
 
 sympy = pytest.importorskip("sympy")
 
@@ -191,3 +193,39 @@ def test_expand_rational_matches_sympy_series(x):
         expected = _laurent_coefficients(x, point, order + 3)
         for n in range(-2, order + 1):
             assert expected.get(n, 0) == _ratfun_at(graded.coefficient(n), point), (point, n)
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+rational_entries = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=5))
+rational_matrices = st.integers(1, 4).flatmap(
+    lambda width: st.lists(st.lists(rational_entries, min_size=width, max_size=width), min_size=1, max_size=4)
+)
+square_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(rational_entries, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices)
+@example([[0, 2, 4], [1, 1, 1], [1, 3, 5]])  # rank 2, first column pivot below the top
+def test_rref_matches_sympy(rows):
+    got, pivots = rref(rows, len(rows[0]))
+    expected, expected_pivots = _sympy_matrix(rows).rref()
+    assert tuple(pivots) == expected_pivots
+    assert _sympy_matrix(got) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(square_matrices)
+def test_rational_inverse_and_det_match_sympy(rows):
+    matrix = _sympy_matrix(rows)
+    if matrix.det() != 0:
+        assert _sympy_matrix(rational_inverse(rows)) == matrix.inv()
+    else:
+        with pytest.raises(ValueError):
+            rational_inverse(rows)
+    integer_rows = [[x.numerator for x in row] for row in rows]
+    assert IntMatrix.from_rows(integer_rows).det() == _sympy_matrix(integer_rows).det()

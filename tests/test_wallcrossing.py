@@ -177,6 +177,29 @@ def test_extend_reduces_to_base_quotients():
             assert reduced == base
 
 
+def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
+    # make_wall_crossing: the two sides, then the two points around the one
+    # crossing time; extend: the three extended conditions, then the two
+    # base sides of the reduction check.  No condition is passed over twice.
+    from torickit import gitdata, wallcrossing
+
+    calls = []
+    wall_cells = gitdata._wall_cells
+
+    def counted(data):
+        calls.append(data)
+        return wall_cells(data)
+
+    monkeypatch.setattr(gitdata, "_wall_cells", counted)
+    monkeypatch.setattr(wallcrossing, "_wall_cells", counted)
+    wc = crossing(KP2)
+    assert len(calls) == len(set(calls)) == 4
+    calls.clear()
+    ext = extend(wc)
+    assert len(calls) == len(set(calls)) == 5
+    assert set(calls) == {ext.data_plus, ext.data_minus, ext.data_tilde, wc.data_plus, wc.data_minus}
+
+
 def test_extended_conifold_has_four_fixed_points():
     ext = extend(crossing(CONIFOLD))
     assert len([a for a in anticones(ext.data_tilde) if len(a) == 2]) == 4
