@@ -82,7 +82,7 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
     data_p = base.with_omega(omega_plus)
     data_m = base.with_omega(omega_minus)
     cells = [_wall_cells(data_p), _wall_cells(data_m)]  # the minimal anticones of each side
-    for side, data, side_cells in (("plus", data_p, cells[0]), ("minus", data_m, cells[1])):
+    for side, data, side_cells in zip(("plus", "minus"), (data_p, data_m), cells):
         rep = _validation(data, side_cells)  # spanning fails exactly on a wall (``validate``)
         if not rep.spanning_ok:
             raise OnWallError("omega_%s lies on a wall (degenerate)" % side)
