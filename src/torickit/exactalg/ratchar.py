@@ -73,14 +73,16 @@ class RationalCharacter:
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
+        # keyed by representation, so no two roots of unity are compared
         merged = {}
         for num, factors in terms or []:
             num, den = _normalize_factors(num, factors)
             if num.is_zero():
                 continue
-            prev = merged.get(den)
-            merged[den] = num if prev is None else prev + num
-        self.terms = tuple((n, d) for d, n in merged.items() if not n.is_zero())
+            key = tuple((f.c.n, f.c.coeffs, f.mu) for f in den)
+            prev = merged.get(key)
+            merged[key] = (num, den) if prev is None else (prev[0] + num, prev[1])
+        self.terms = tuple((n, d) for n, d in merged.values() if not n.is_zero())
 
     # -- constructors -----------------------------------------------------
 

@@ -239,6 +239,7 @@ class ValidationReport:
     nonempty_ok: bool
     spanning_ok: bool
     failures: tuple[str, ...]
+    cells: tuple[Anticone, ...]  # the minimal anticones the report was read from
 
     @property
     def passed(self) -> bool:
@@ -266,18 +267,14 @@ def validate(data: GITData) -> ValidationReport:
     it is the anticone rule of ``anticones`` for the full set: the cells
     and positive circuits cover {1..m}.
     """
-    return _validation(data, _wall_cells(data))
-
-
-def _validation(data: GITData, cells) -> ValidationReport:
-    """The report of ``validate`` from the wall cells of the data."""
+    cells = _wall_cells(data)
     thin = [tau for tau in cells if len(tau) < data.r]
     full = bool(cells)
     if thin:
         full = _is_wall_anticone(frozenset(range(1, data.m + 1)), cells, _positive_circuits(data))
     failures = [] if full else ["the full index set is not an anticone"]
     failures += ["anticone {%s} does not span" % ",".join(map(str, sorted(tau))) for tau in thin]
-    return ValidationReport(full, not thin, tuple(failures))
+    return ValidationReport(full, not thin, tuple(failures), tuple(cells))
 
 
 def require_valid(data: GITData) -> list[Anticone]:
@@ -285,11 +282,10 @@ def require_valid(data: GITData) -> list[Anticone]:
     inadmissible; otherwise return the fixed points (``fixed_points``) from
     the same pass over the wall cells, all of size r and so in the order of
     the sorted anticones."""
-    cells = _wall_cells(data)
-    report = _validation(data, cells)
+    report = validate(data)
     if not report.passed:
         raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
-    return cells
+    return list(report.cells)
 
 
 def minimal_anticones(data: GITData) -> SemistableLocus:
@@ -302,11 +298,7 @@ def fixed_points(data: GITData) -> list[Anticone]:
     """Anticones of size r, which index the torus-fixed points: off the
     walls, the wall cells.  On a wall there is no orbifold quotient to
     localize on, and the call raises ``OnWallError``."""
-    return _fixed_points(data, _wall_cells(data))
-
-
-def _fixed_points(data: GITData, cells) -> list[Anticone]:
-    """``fixed_points`` from the wall cells of the data."""
+    cells = _wall_cells(data)
     if any(len(tau) < data.r for tau in cells):
         raise OnWallError("stability condition lies on a wall")
     return cells
@@ -323,14 +315,9 @@ def is_on_wall(data: GITData) -> bool:
 def chamber_of(data: GITData) -> Chamber:
     """The chamber containing omega, as the strict inequalities of the
     simplicial cones attached to the minimal anticones."""
-    return _chamber(data, _wall_cells(data))
-
-
-def _chamber(data: GITData, cells) -> Chamber:
-    """``chamber_of`` from the wall cells of the data."""
     normals = {
         primitive_integer_vector(row)
-        for delta in _fixed_points(data, cells)
+        for delta in fixed_points(data)
         for row in rational_inverse(list(zip(*data.submatrix_columns(delta))))
     }
     return Chamber(tuple(sorted(normals)), data.omega)

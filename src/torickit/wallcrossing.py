@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
 from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
-from .gitdata import Chamber, GITData, _chamber, _validation, _wall_cells, minimal_anticones
+from .gitdata import Chamber, GITData, chamber_of, is_on_wall, minimal_anticones, validate
 from .localization import EquivClass
 
 
@@ -81,14 +81,13 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
     omega_minus = tuple(parse_fraction(x) for x in omega_minus)
     data_p = base.with_omega(omega_plus)
     data_m = base.with_omega(omega_minus)
-    cells = [_wall_cells(data_p), _wall_cells(data_m)]  # the minimal anticones of each side
-    for side, data, side_cells in zip(("plus", "minus"), (data_p, data_m), cells):
-        rep = _validation(data, side_cells)  # spanning fails exactly on a wall (``validate``)
-        if not rep.spanning_ok:
+    reports = [validate(data_p), validate(data_m)]
+    for side, rep in zip(("plus", "minus"), reports):
+        if not rep.spanning_ok:  # spanning fails exactly on a wall (``validate``)
             raise OnWallError("omega_%s lies on a wall (degenerate)" % side)
         if not rep.passed:
             raise InputError("omega_%s is not admissible: %s" % (side, "; ".join(rep.failures)))
-    if cells[0] == cells[1]:
+    if reports[0].cells == reports[1].cells:  # the minimal anticones of the two sides
         raise NotAdjacentError("the two stability conditions lie in the same chamber")
 
     def point(t: Fraction):
@@ -103,14 +102,10 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
             crossings.setdefault(t, set()).add(n)
     if not crossings:
         raise NotAdjacentError("no separating wall found between the chambers")
-    times = sorted(crossings)
-    gaps = [Fraction(0)] + times + [Fraction(1)]
-    real = []
-    for idx, t in enumerate(times):
-        left = (gaps[idx] + t) / 2
-        right = (t + gaps[idx + 2]) / 2
-        if minimal_anticones(base.with_omega(point(left))) != minimal_anticones(base.with_omega(point(right))):
-            real.append(t)
+    # Both sides validate, so the characters span and the wall cells stay
+    # constant off the walls, while a chamber holds no wall point: a
+    # candidate crossing changes the cells exactly when its point is on a wall.
+    real = [t for t in sorted(crossings) if is_on_wall(base.with_omega(point(t)))]
     if len(real) != 1:
         raise NotAdjacentError("segment crosses %d walls; compose single crossings" % len(real))
     t_star = real[0]
@@ -152,9 +147,6 @@ class ExtendedGIT:
     omega_plus: tuple
     omega_minus: tuple
     omega_tilde: tuple
-    chamber_plus: Chamber
-    chamber_minus: Chamber
-    chamber_tilde: Chamber
 
     @property
     def data_plus(self) -> GITData:
@@ -167,6 +159,18 @@ class ExtendedGIT:
     @property
     def data_tilde(self) -> GITData:
         return self.data
+
+    @property
+    def chamber_plus(self) -> Chamber:
+        return chamber_of(self.data_plus)
+
+    @property
+    def chamber_minus(self) -> Chamber:
+        return chamber_of(self.data_minus)
+
+    @property
+    def chamber_tilde(self) -> Chamber:
+        return chamber_of(self.data)
 
     def exponent_twists(self, side: str) -> tuple[int, ...]:
         """Per-coordinate powers of the extra coordinate used by the
@@ -249,38 +253,26 @@ def extend(wc: WallCrossing) -> ExtendedGIT:
     data = GITData.make(base.r + 1, weights, omega_p)
     omega_t = wc.omega_zero + (-_resolution_offset(data, wc.omega_zero),)
     data_t = data.with_omega(omega_t)
-    data_m = data.with_omega(omega_m)
-    cells_t = _wall_cells(data_t)
-    report = _validation(data_t, cells_t)  # on a wall a wall cell of size <= r fails to span
+    report = validate(data_t)  # on a wall a wall cell of size <= r fails to span
     if not report.passed:
         raise InputError("the resolution chamber is not admissible: %s" % "; ".join(report.failures))
 
-    cells_p, cells_m = _wall_cells(data), _wall_cells(data_m)
-    ext = ExtendedGIT(
-        wc,
-        data_t,
-        omega_p,
-        omega_m,
-        omega_t,
-        _chamber(data, cells_p),
-        _chamber(data_m, cells_m),
-        _chamber(data_t, cells_t),
-    )
+    ext = ExtendedGIT(wc, data_t, omega_p, omega_m, omega_t)
     _verify_contraction(ext, "+")
     _verify_contraction(ext, "-")
-    _verify_reductions(ext, cells_p, cells_m)
+    _verify_reductions(ext)
     return ext
 
 
-def _verify_reductions(ext: ExtendedGIT, cells_plus, cells_minus):
+def _verify_reductions(ext: ExtendedGIT):
     """At the side stability conditions every anticone contains the extra
-    index, and deleting it recovers the base semistable loci.  The cells
-    are the minimal anticones of ``ext.data_plus`` and ``ext.data_minus``."""
+    index, and deleting it recovers the base semistable loci."""
     m1 = ext.wc.base.m + 1
-    for minimal, base_data in ((cells_plus, ext.wc.data_plus), (cells_minus, ext.wc.data_minus)):
+    for data, base_data in ((ext.data_plus, ext.wc.data_plus), (ext.data_minus, ext.wc.data_minus)):
+        minimal = minimal_anticones(data).minimal
         if any(m1 not in a for a in minimal):
             raise AssertionError("an anticone at a side stability misses the extra index")
-        if {a - {m1} for a in minimal} != set(_wall_cells(base_data)):
+        if {a - {m1} for a in minimal} != set(minimal_anticones(base_data).minimal):
             raise AssertionError("side chamber does not reduce to the base quotient")
 
 

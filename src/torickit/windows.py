@@ -220,9 +220,10 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
     fps = fixed_point_list(wc.data_minus)
     if not _vanishes_on(fps, relation):
         raise WindowLiftError("Koszul relation does not vanish on the minus side")
-    sign = 1 if len(unstable_koszul_classes(wc)) % 2 == 0 else -1
-    shift_u = tuple(sum(wc.base.character(i)[k] for i in sorted(partition_M(wc)[2])) for k in range(wc.base.r))
-    shift_s = tuple(-1 if (j in partition_M(wc)[2]) else 0 for j in range(1, wc.base.m + 1))
+    m_minus = partition_M(wc)[2]
+    sign = (-1) ** len(m_minus)
+    shift_u = tuple(sum(wc.base.character(i)[k] for i in m_minus) for k in range(wc.base.r))
+    shift_s = tuple(-1 if j in m_minus else 0 for j in range(1, wc.base.m + 1))
 
     def weight(u):
         return sum(a * b for a, b in zip(u, wc.e))

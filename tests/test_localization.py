@@ -205,6 +205,29 @@ def test_collapse_at_isotropy_order_200():
     assert str(chi) == str(untwisted + twisted)
 
 
+def test_twisted_sum_compares_no_two_roots_of_unity(monkeypatch):
+    # the sectors of one fixed point differ only in their roots of unity; a
+    # merge that compared their factors by value would do so pairwise, |G|^2
+    from torickit.localization import _twisted_sum
+
+    data = D(50)
+    fps = fixed_point_list(data)
+    assert max(fp.group_order for fp in fps) == 100
+    compared = []
+    eq = Cyc.__eq__
+
+    def counted(self, other):
+        if isinstance(other, Cyc) and not self.is_rational() and not other.is_rational():
+            compared.append((self, other))
+        return eq(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cyc, "__eq__", counted)
+        chi = _twisted_sum(fps, EquivClass.line(2, 4, (0, 0)), None)
+    assert compared == []
+    assert len(chi.terms) == sum(fp.group_order for fp in fps)
+
+
 def test_euler_cyclotomic_parts_cancel():
     # P12, the conifold and C2 reach only the roots +-1; P(1,2,3), P(3,5)
     # and D_3 reach roots of unity of order 3, 5 and 6, which must cancel

@@ -1,6 +1,7 @@
 """Guards on how the package is written and run: no ``assert`` statements in
-the sources, the same answers with ``python -O``, which strips them, and the
-layer modules and result shapes the benchmark reads still exist."""
+the sources, the same answers with ``python -O``, which strips them, no
+private name imported from another module, and the layer modules and result
+shapes the benchmark reads still exist."""
 
 import ast
 import importlib
@@ -37,6 +38,21 @@ def test_no_assert_statements_in_src():
         for path in files
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_private_names_imported_across_modules_in_src():
+    # a leading underscore marks a name private to its module; another
+    # module that needs it should go through a public function
+    files = sorted(SRC.rglob("*.py"))
+    found = [
+        "%s:%d %s" % (path.relative_to(SRC), node.lineno, alias.name)
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "torickit")
+        for alias in node.names
+        if alias.name.startswith("_")
     ]
     assert found == []
 
