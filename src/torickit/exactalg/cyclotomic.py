@@ -227,10 +227,10 @@ class Cyc:
     def __hash__(self):
         """A rational value hashes as its Fraction, so it finds and is found
         by equal int and Fraction keys.  Every non-rational value shares one
-        hash, since its coordinates depend on the conductor it sits at.  No
-        dictionary in the package is keyed by a non-rational value
-        (``RationalCharacter`` merges terms by their coordinates); a caller's
-        such keys stay correct, only slower to look up."""
+        hash, since its coordinates depend on the conductor it sits at: such
+        keys stay correct, only slower to look up.  ``RationalCharacter``
+        merges its terms by coordinates; ``denominator_factors`` still keys
+        by ``Factor``."""
         return hash(self.coeffs[0]) if self.n == 1 else _NONRATIONAL_HASH
 
     def __bool__(self):

@@ -315,9 +315,15 @@ def is_on_wall(data: GITData) -> bool:
 def chamber_of(data: GITData) -> Chamber:
     """The chamber containing omega, as the strict inequalities of the
     simplicial cones attached to the minimal anticones."""
+    return chamber_of_fixed_points(data, fixed_points(data))
+
+
+def chamber_of_fixed_points(data: GITData, deltas) -> Chamber:
+    """``chamber_of`` from the fixed points of the data: its wall cells off
+    the walls, for a caller that holds them (``ValidationReport.cells``)."""
     normals = {
         primitive_integer_vector(row)
-        for delta in fixed_points(data)
+        for delta in deltas
         for row in rational_inverse(list(zip(*data.submatrix_columns(delta))))
     }
     return Chamber(tuple(sorted(normals)), data.omega)

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
 from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
-from .gitdata import Chamber, GITData, chamber_of, is_on_wall, minimal_anticones, validate
+from .gitdata import Chamber, GITData, chamber_of_fixed_points, is_on_wall, minimal_anticones, validate
 from .localization import EquivClass
 
 
@@ -147,6 +147,9 @@ class ExtendedGIT:
     omega_plus: tuple
     omega_minus: tuple
     omega_tilde: tuple
+    chamber_plus: Chamber
+    chamber_minus: Chamber
+    chamber_tilde: Chamber
 
     @property
     def data_plus(self) -> GITData:
@@ -159,18 +162,6 @@ class ExtendedGIT:
     @property
     def data_tilde(self) -> GITData:
         return self.data
-
-    @property
-    def chamber_plus(self) -> Chamber:
-        return chamber_of(self.data_plus)
-
-    @property
-    def chamber_minus(self) -> Chamber:
-        return chamber_of(self.data_minus)
-
-    @property
-    def chamber_tilde(self) -> Chamber:
-        return chamber_of(self.data)
 
     def exponent_twists(self, side: str) -> tuple[int, ...]:
         """Per-coordinate powers of the extra coordinate used by the
@@ -253,23 +244,28 @@ def extend(wc: WallCrossing) -> ExtendedGIT:
     data = GITData.make(base.r + 1, weights, omega_p)
     omega_t = wc.omega_zero + (-_resolution_offset(data, wc.omega_zero),)
     data_t = data.with_omega(omega_t)
+    data_m = data.with_omega(omega_m)
     report = validate(data_t)  # on a wall a wall cell of size <= r fails to span
     if not report.passed:
         raise InputError("the resolution chamber is not admissible: %s" % "; ".join(report.failures))
 
-    ext = ExtendedGIT(wc, data_t, omega_p, omega_m, omega_t)
+    # The sides are off the walls: each of their wall cells holds m + 1 (the
+    # other characters end in <= 0, omega in 1) over a base side's wall cell.
+    cells_p, cells_m = minimal_anticones(data).minimal, minimal_anticones(data_m).minimal
+    chambers = [chamber_of_fixed_points(d, c) for d, c in ((data, cells_p), (data_m, cells_m), (data_t, report.cells))]
+    ext = ExtendedGIT(wc, data_t, omega_p, omega_m, omega_t, *chambers)
     _verify_contraction(ext, "+")
     _verify_contraction(ext, "-")
-    _verify_reductions(ext)
+    _verify_reductions(ext, cells_p, cells_m)
     return ext
 
 
-def _verify_reductions(ext: ExtendedGIT):
+def _verify_reductions(ext: ExtendedGIT, cells_plus, cells_minus):
     """At the side stability conditions every anticone contains the extra
-    index, and deleting it recovers the base semistable loci."""
+    index, and deleting it recovers the base semistable loci.  The cells
+    are the minimal anticones of ``ext.data_plus`` and ``ext.data_minus``."""
     m1 = ext.wc.base.m + 1
-    for data, base_data in ((ext.data_plus, ext.wc.data_plus), (ext.data_minus, ext.wc.data_minus)):
-        minimal = minimal_anticones(data).minimal
+    for minimal, base_data in ((cells_plus, ext.wc.data_plus), (cells_minus, ext.wc.data_minus)):
         if any(m1 not in a for a in minimal):
             raise AssertionError("an anticone at a side stability misses the extra index")
         if {a - {m1} for a in minimal} != set(minimal_anticones(base_data).minimal):

@@ -233,7 +233,8 @@ def test_extend_reduces_to_base_quotients():
 def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     # make_wall_crossing: the two sides, then the one crossing point; extend:
     # the three extended conditions, then the two base sides of the
-    # reduction check.  No condition is passed over twice.
+    # reduction check; reading the chambers (the CLI's wallcross): none.
+    # Within each call no condition is passed over twice.
     from torickit import gitdata
 
     calls = []
@@ -250,6 +251,9 @@ def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     ext = extend(wc)
     assert len(calls) == len(set(calls)) == 5
     assert set(calls) == {ext.data_plus, ext.data_minus, ext.data_tilde, wc.data_plus, wc.data_minus}
+    calls.clear()
+    ext.to_json_dict()
+    assert calls == []
 
 
 def test_extended_conifold_has_four_fixed_points():
