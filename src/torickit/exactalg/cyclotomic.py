@@ -228,9 +228,7 @@ class Cyc:
         """A rational value hashes as its Fraction, so it finds and is found
         by equal int and Fraction keys.  Every non-rational value shares one
         hash, since its coordinates depend on the conductor it sits at: such
-        keys stay correct, only slower to look up.  ``RationalCharacter``
-        merges its terms by coordinates; ``denominator_factors`` still keys
-        by ``Factor``."""
+        keys stay correct, only slower to look up."""
         return hash(self.coeffs[0]) if self.n == 1 else _NONRATIONAL_HASH
 
     def __bool__(self):

@@ -197,7 +197,7 @@ class LaurentPoly:
         """Keep monomials of total degree at most ``bound``."""
         return LaurentPoly(self.nvars, {q: c for q, c in self.terms.items() if sum(q) <= bound})
 
-    # -- substitution and division ------------------------------------------
+    # -- substitution ----------------------------------------------------------
 
     def apply_matrix(self, matrix) -> "LaurentPoly":
         """Exponent substitution q -> A^T q (torus specialization)."""
@@ -212,45 +212,6 @@ class LaurentPoly:
             elif acc is not None:
                 del terms[q2]
         return LaurentPoly(width, terms)
-
-    def divide_exact(self, den: "LaurentPoly"):
-        """Exact division: self == q * den, or None when not exactly divisible.
-
-        Newton polytopes add under multiplication, so in each coordinate an
-        exponent of q lies in [min(self) - min(den), max(self) - max(den)].
-        Long division in lex order produces the terms of q from the top down,
-        so once a leading quotient monomial leaves that box there is no exact
-        quotient.  The leading monomial strictly decreases inside a finite
-        piece of a lattice, so the loop ends.
-        """
-        self._check(den)
-        if den.is_zero():
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero(self.nvars)
-        box = [
-            (min(a) - min(b), max(a) - max(b))
-            for a, b in zip(zip(*self.terms), zip(*den.terms))
-        ]
-        lead = max(den.terms)
-        lead_c = den.terms[lead]
-        rem = dict(self.terms)
-        quot = {}
-        while rem:
-            q = max(rem)
-            mono = tuple(a - b for a, b in zip(q, lead))
-            if not all(lo <= x <= hi for x, (lo, hi) in zip(mono, box)):
-                return None
-            coeff = rem[q] / lead_c
-            quot[mono] = quot.get(mono, Cyc.rational(0)) + coeff
-            for qd, cd in den.terms.items():
-                key = exp_add(mono, qd)
-                s = rem.get(key, Cyc.rational(0)) - coeff * cd
-                if s:
-                    rem[key] = s
-                elif key in rem:
-                    del rem[key]
-        return LaurentPoly(self.nvars, quot)
 
     # -- rendering -----------------------------------------------------------
 

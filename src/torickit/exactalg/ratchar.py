@@ -12,22 +12,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cyclotomic import Cyc
-from .laurent import LaurentPoly, exp_add, exp_apply, exp_zero, format_exponent
+from .laurent import LaurentPoly, exp_add, exp_apply, exp_entry, exp_zero, format_exponent
 
 
 class DenominatorCollapseError(ValueError):
     """A specialization sent a denominator factor to zero identically."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Factor:
-    """One denominator factor (1 - c * e^{mu.lambda})."""
+    """One denominator factor (1 - c * e^{mu.lambda}), compared and hashed by
+    representation, so that no two roots of unity are ever compared."""
 
     c: Cyc
     mu: tuple
 
     def sort_key(self):
         return (self.mu, self.c.n, self.c.coeffs)
+
+    def __eq__(self, other):
+        return self.sort_key() == other.sort_key() if isinstance(other, Factor) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.sort_key())
 
     def as_poly(self, nvars: int) -> LaurentPoly:
         return LaurentPoly(nvars, {exp_zero(nvars): Cyc.rational(1), self.mu: -self.c})
@@ -42,6 +49,32 @@ class Factor:
             shifted.terms = {exp_add(q, self.mu): -a if minus_c is None else a * minus_c for q, a in p.terms.items()}
             p = p + shifted
         return p
+
+    def divide(self, p: LaurentPoly):
+        """p / (this factor), or None when that is not a Laurent polynomial.
+        On each coset e + Z mu, keyed by k = e[i] // mu[i] at the first nonzero
+        mu[i], the quotient runs q_k = p_k + c * q_{k-1} up from p's lowest
+        term; it is exact iff the step at p's highest term gives zero."""
+        mu, c = self.mu, None if self.c == 1 else self.c
+        i = next(j for j, x in enumerate(mu) if x)
+        cosets = {}
+        for e, a in p.terms.items():
+            k = e[i] // mu[i]
+            cosets.setdefault(tuple(exp_entry(x - k * m) for x, m in zip(e, mu)), {})[k] = a
+        terms = {}
+        for base, coeffs in cosets.items():
+            lo, hi = min(coeffs), max(coeffs)
+            acc = coeffs[lo]
+            for k in range(lo, hi):
+                if acc:
+                    terms[tuple(exp_entry(x + k * m) for x, m in zip(base, mu))] = acc
+                carry = acc if c is None else acc * c
+                acc = carry + coeffs[k + 1] if k + 1 in coeffs else carry
+            if acc:
+                return None
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.nvars, out.terms = p.nvars, terms
+        return out
 
     def __str__(self):
         cs = str(self.c)
@@ -73,16 +106,13 @@ class RationalCharacter:
 
     def __init__(self, nvars: int, terms=None):
         self.nvars = nvars
-        # keyed by representation, so no two roots of unity are compared
         merged = {}
         for num, factors in terms or []:
             num, den = _normalize_factors(num, factors)
-            if num.is_zero():
-                continue
-            key = tuple((f.c.n, f.c.coeffs, f.mu) for f in den)
-            prev = merged.get(key)
-            merged[key] = (num, den) if prev is None else (prev[0] + num, prev[1])
-        self.terms = tuple((n, d) for n, d in merged.values() if not n.is_zero())
+            if not num.is_zero():
+                prev = merged.get(den)
+                merged[den] = num if prev is None else prev + num
+        self.terms = tuple((n, d) for d, n in merged.items() if not n.is_zero())
 
     # -- constructors -----------------------------------------------------
 
@@ -165,19 +195,17 @@ class RationalCharacter:
             total = total + num
         return total
 
-    def cleared_fraction(self) -> tuple[LaurentPoly, LaurentPoly]:
-        """Single numerator and expanded common denominator (no reduction)."""
-        den_total = LaurentPoly.one(self.nvars)
-        for f, k in self.denominator_factors().items():
-            den_total = f.times(den_total, k)
-        return self.cleared_numerator(), den_total
-
     def as_laurent_polynomial(self):
-        """The character as a finite Laurent polynomial, or None if it is not one."""
-        num, den = self.cleared_fraction()
-        if den == LaurentPoly.one(self.nvars):
-            return num
-        return num.divide_exact(den)
+        """The character as a finite Laurent polynomial, or None if it is not one.
+        A polynomial P clears to P times every factor, so each one-factor
+        division stays a polynomial and a failed one proves P does not exist."""
+        p = self.cleared_numerator()
+        for f, k in self.denominator_factors().items():
+            for _ in range(k):
+                p = f.divide(p)
+                if p is None:
+                    return None
+        return p
 
     def is_zero(self) -> bool:
         return self.cleared_numerator().is_zero()

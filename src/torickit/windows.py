@@ -34,7 +34,6 @@ class KNStratum:
     lam: tuple[int, ...]  # 1-parameter subgroup in the gauge cocharacter lattice
     fixed_support: frozenset  # coordinates allowed nonzero on Z
     blade_support: frozenset  # coordinates allowed nonzero on S
-    ambient: SemistableLocus  # the open set the stratum lives in
     eta: int
 
 
@@ -61,7 +60,6 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
     the blade along the fixed locus; positivity is automatic.
     """
     m_plus, m_zero, m_minus = partition_M(wc)
-    ambient = minimal_anticones(wc.base.with_omega(wc.omega_zero))
     every = frozenset(range(1, wc.base.m + 1))
 
     def build(lam, blade):
@@ -69,7 +67,7 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
         eta = sum(sum(a * b for a, b in zip(wc.base.character(i), lam)) for i in normal)
         if eta < 0:
             raise AssertionError("blade normal weights must be nonnegative")
-        return KNStratum(tuple(lam), frozenset(m_zero), frozenset(blade), ambient, eta)
+        return KNStratum(tuple(lam), frozenset(m_zero), frozenset(blade), eta)
 
     stratum_plus = build(wc.e, m_zero | m_minus)
     stratum_minus = build(tuple(-x for x in wc.e), m_zero | m_plus)
@@ -166,8 +164,6 @@ def unstable_koszul_classes(wc: WallCrossing) -> list[EquivClass]:
     """The classes (one per coordinate vanishing on the removed stratum)
     whose Koszul product restricts to zero on the minus-side quotient."""
     _, _, m_minus = partition_M(wc)
-    if not m_minus:
-        raise WindowLiftError("relation not available: no strictly negative pairings")
     r, m = wc.base.r, wc.base.m
     out = []
     for i in sorted(m_minus):

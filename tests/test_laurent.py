@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from torickit.exactalg import Factor, RationalCharacter
 from torickit.exactalg.cyclotomic import Cyc
 from torickit.exactalg.laurent import LaurentPoly, exp_apply
 
@@ -38,41 +39,26 @@ def test_apply_matrix():
     assert exp_apply([[1], [1]], (Fraction(2), Fraction(3))) == (Fraction(5),)
 
 
-def test_divide_exact():
-    x = mono((1,))
-    num = (LaurentPoly.one(1) - x) * (LaurentPoly.one(1) + x)
-    q = num.divide_exact(LaurentPoly.one(1) - x)
-    assert q == LaurentPoly.one(1) + x
-    # (1 - x^2)/(1 - x^3) is not a Laurent polynomial
-    assert num.divide_exact(LaurentPoly.one(1) - mono((3,))) is None
+ONE_MINUS_X = Factor(Cyc.rational(1), (1,))  # 1 - e^lambda
 
 
-def test_divide_exact_recovers_random_quotients():
-    import random
-
-    rng = random.Random(5)
-    half = Fraction(1, 2)
-
-    def rand_poly():
-        return sum(
-            (mono((rng.randint(-3, 3) * half, rng.randint(-2, 2)), rng.randint(-3, 3)) for _ in range(4)),
-            LaurentPoly.zero(2),
-        )
-
-    for _ in range(20):
-        a, b = rand_poly(), rand_poly()
-        if b.is_zero():
-            continue
-        assert (a * b).divide_exact(b) == a
-        # a monomial is a multiple only of units, the one-term polynomials
-        if len(b.terms) > 1:
-            assert (a * b + mono((9, 9))).divide_exact(b) is None
-
-
-def test_divide_exact_laurent_quotient():
-    x = mono((1,))
+def test_factor_divide_exact_quotient():
     num = LaurentPoly.one(1) - mono((2,))
-    q = num.divide_exact(mono((1,)) - mono((2,)))  # (1 - x^2)/(x - x^2) = 1/x + 1
+    assert ONE_MINUS_X.divide(num) == LaurentPoly.one(1) + mono((1,))  # (1 - x^2)/(1 - x) = 1 + x
+    assert ONE_MINUS_X.divide(LaurentPoly.zero(1)).is_zero()
+
+
+def test_factor_divide_inexact_is_none():
+    num = LaurentPoly.one(1) - mono((2,))
+    assert Factor(Cyc.rational(1), (3,)).divide(num) is None  # (1 - x^2)/(1 - x^3)
+    assert ONE_MINUS_X.divide(num + mono((5,))) is None
+    assert ONE_MINUS_X.divide(mono((1,))) is None  # a monomial is no multiple of a binomial
+
+
+def test_factor_divide_laurent_quotient():
+    # (1 - x^2)/(x - x^2) = 1/x + 1, with x - x^2 = x (1 - x)
+    num = LaurentPoly.one(1) - mono((2,))
+    q = RationalCharacter.fraction(mono((-1,)) * num, [ONE_MINUS_X]).as_laurent_polynomial()
     assert q == mono((-1,)) + LaurentPoly.one(1)
     assert q * (mono((1,)) - mono((2,))) == num
 

@@ -228,6 +228,28 @@ def test_twisted_sum_compares_no_two_roots_of_unity(monkeypatch):
     assert len(chi.terms) == sum(fp.group_order for fp in fps)
 
 
+def test_denominator_factors_compare_no_two_roots_of_unity(monkeypatch):
+    # factors are keyed by representation: gathering the common denominator
+    # of the D_50 sectors compares no two roots of unity
+    from torickit.localization import _twisted_sum
+
+    chi = _twisted_sum(fixed_point_list(D(50)), EquivClass.line(2, 4, (0, 0)), None)
+    compared = []
+    eq = Cyc.__eq__
+
+    def counted(self, other):
+        if isinstance(other, Cyc) and not self.is_rational() and not other.is_rational():
+            compared.append((self, other))
+        return eq(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Cyc, "__eq__", counted)
+        with Budget("D_50 factors", "common denominator of the twisted sectors", 1.0):
+            common = chi.denominator_factors()
+    assert compared == []
+    assert max(common.values()) == 1 and len(common) > 100
+
+
 def test_euler_cyclotomic_parts_cancel():
     # P12, the conifold and C2 reach only the roots +-1; P(1,2,3), P(3,5)
     # and D_3 reach roots of unity of order 3, 5 and 6, which must cancel
@@ -241,8 +263,11 @@ def test_euler_cyclotomic_parts_cancel():
     for data, E in cases:
         chi = twisted_euler_characteristic(data, E)
         conductors |= {f.c.n for _, den in chi.terms for f in den}
-        num, den = chi.cleared_fraction()
-        assert num.all_rational() and den.all_rational()
+        # the factors are not rational one by one, only their product is
+        den = LaurentPoly.one(chi.nvars)
+        for f, k in chi.denominator_factors().items():
+            den = f.times(den, k)
+        assert chi.cleared_numerator().all_rational() and den.all_rational()
     assert max(conductors) > 2
 
 

