@@ -55,6 +55,30 @@ def test_factor_divide_inexact_is_none():
     assert ONE_MINUS_X.divide(mono((1,))) is None  # a monomial is no multiple of a binomial
 
 
+def test_divide_exact_recovers_random_quotients():
+    import random
+
+    rng = random.Random(5)
+    half = Fraction(1, 2)
+
+    def rand_poly():
+        return sum(
+            (mono((rng.randint(-3, 3) * half, rng.randint(-2, 2)), rng.randint(-3, 3)) for _ in range(4)),
+            LaurentPoly.zero(2),
+        )
+
+    for _ in range(20):
+        a = rand_poly()
+        mu = (0, 0)
+        while mu == (0, 0):
+            mu = (rng.randint(-2, 2) * half, rng.randint(-2, 2))
+        c = rng.choice([Cyc.rational(1), Cyc.rational(-2), Cyc.root_of_unity(Fraction(1, 3))])
+        f = Factor(c, mu)
+        assert f.divide(a * f.as_poly(2)) == a
+        # a monomial is a multiple only of units, never of a binomial
+        assert f.divide(a * f.as_poly(2) + mono((9, 9))) is None
+
+
 def test_factor_divide_laurent_quotient():
     # (1 - x^2)/(x - x^2) = 1/x + 1, with x - x^2 = x (1 - x)
     num = LaurentPoly.one(1) - mono((2,))
