@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -23,13 +22,6 @@ from .gitdata import GITData, anticones, minimal_anticones, validate
 from .localization import EquivClass, euler_characteristic, fixed_point_list, hrr_check
 from .wallcrossing import eta_invariants, extend, make_wall_crossing, partition_M
 from .windows import Window, fm_euler_check, in_window, kn_strata, seven_loci, window_lift, window_weights
-
-def default_order() -> int:
-    text = os.environ.get("TORICKIT_TRUNCATION", "6")
-    try:
-        return int(text)
-    except ValueError:
-        raise InputError("TORICKIT_TRUNCATION must be an integer, got %r" % text) from None
 
 
 def _parse_vector(text: str):
@@ -127,9 +119,8 @@ def run(args) -> int:
 
     if args.command in ("euler", "hrr-check"):
         if args.command == "hrr-check":
-            order = args.order if args.order is not None else default_order()
-            if order < 0:
-                raise InputError("the expansion order must be nonnegative, got %d" % order)
+            if args.order < 0:
+                raise InputError("the expansion order must be nonnegative, got %d" % args.order)
         if args.class_spec is not None:
             E = parse_class(data, args.class_spec)
         else:
@@ -139,7 +130,7 @@ def run(args) -> int:
             payload = {"character": str(chi), "rational_after_clearing": chi.cleared_numerator().all_rational()}
             _emit(payload, args.json, str(chi))
             return 0
-        report = hrr_check(data, E, order, subtorus=entry.subtorus)
+        report = hrr_check(data, E, args.order, subtorus=entry.subtorus)
         _emit(report.to_json_dict(), args.json, str(report))
         return 0 if report.equal else 1
 
@@ -228,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, need_class=True)
     p = sub.add_parser("hrr-check", help="compare the expansion with the index formula")
     add_common(p, need_class=True)
-    p.add_argument("--order", type=int, default=None)
+    p.add_argument("--order", type=int, default=6)
     for name in ("wallcross", "windows", "fm-check"):
         p = sub.add_parser(name, help="wall-crossing / window operations")
         add_common(p)

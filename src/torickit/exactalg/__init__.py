@@ -4,6 +4,7 @@ from .cyclotomic import Cyc, format_fraction, parse_fraction
 from .intlinalg import (
     IntMatrix,
     kernel_basis,
+    oriented_primitive_vector,
     primitive_integer_vector,
     rational_inverse,
     rational_rank,
@@ -31,6 +32,7 @@ __all__ = [
     "exp_zero",
     "format_fraction",
     "kernel_basis",
+    "oriented_primitive_vector",
     "parse_fraction",
     "primitive_integer_vector",
     "rat_equal",

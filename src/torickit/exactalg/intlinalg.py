@@ -241,3 +241,10 @@ def primitive_integer_vector(v) -> tuple[int, ...]:
     ints = [x.numerator * (den // x.denominator) for x in v]
     g = gcd(*ints)
     return tuple(x // g for x in ints)
+
+
+def oriented_primitive_vector(v) -> tuple[int, ...]:
+    """The primitive integer vector on the line of v whose first nonzero
+    entry is positive."""
+    f = primitive_integer_vector(v)
+    return f if next(x for x in f if x) > 0 else tuple(-x for x in f)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .cyclotomic import Cyc
-from .intlinalg import primitive_integer_vector
+from .intlinalg import oriented_primitive_vector
 from .laurent import LaurentPoly
 from .ratchar import RationalCharacter
 
@@ -248,9 +248,7 @@ def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
 
 def _pole_form(mu) -> tuple[Fraction, tuple[int, ...]]:
     """mu as s * f, f a primitive integer vector whose first nonzero entry is positive."""
-    f = primitive_integer_vector(mu)
-    if next(x for x in f if x) < 0:
-        f = tuple(-x for x in f)
+    f = oriented_primitive_vector(mu)
     return next(Fraction(a) / b for a, b in zip(mu, f) if b), f
 
 

@@ -277,17 +277,6 @@ def validate(data: GITData) -> ValidationReport:
     return ValidationReport(full, not thin, tuple(failures), tuple(cells))
 
 
-def require_valid(data: GITData) -> list[Anticone]:
-    """Raise an input error naming the failures when the data is
-    inadmissible; otherwise return the fixed points (``fixed_points``) from
-    the same pass over the wall cells, all of size r and so in the order of
-    the sorted anticones."""
-    report = validate(data)
-    if not report.passed:
-        raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
-    return list(report.cells)
-
-
 def minimal_anticones(data: GITData) -> SemistableLocus:
     """Minimal anticones, which cut out the semistable locus: the wall cells
     (see ``anticones``), on a wall or off it."""

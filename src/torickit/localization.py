@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 
 from .errors import ConvergenceError, InputError
@@ -36,7 +37,7 @@ from .exactalg.cyclotomic import parse_int
 from .exactalg.laurent import exp_apply, exp_entry
 from .exactalg.lp import weights_convex
 from .exactalg.series import expand_rational
-from .gitdata import GITData, as_integer, require_valid
+from .gitdata import GITData, as_integer, validate
 
 
 class EquivClass:
@@ -58,9 +59,7 @@ class EquivClass:
             s = tuple(map(as_integer, s))
             if len(u) != r or len(s) != m:
                 raise InputError("line class has wrong character lengths")
-            coeff = as_integer(coeff)
-            if coeff:
-                clean[(u, s)] = clean.get((u, s), 0) + coeff
+            clean[(u, s)] = clean.get((u, s), 0) + as_integer(coeff)
         self.terms = {k: v for k, v in clean.items() if v}
 
     @staticmethod
@@ -162,17 +161,14 @@ class FixedPointData:
 
     Every weight here reads one solve, the rows ``inverse`` of D_delta^-1:
     a gauge character u has the coordinates ``inverse`` . u in the
-    delta-basis.  The tangent data is derived from it on construction.
+    delta-basis.  The isotropy group is built only when read.
     """
 
     data: GITData
     delta: tuple[int, ...]
     inverse: tuple[tuple[Fraction, ...], ...]
-    group_order: int
-    group_elements: tuple[tuple[Fraction, ...], ...]
     tangent_indices: tuple[int, ...] = field(init=False)
     tangent_weights: dict = field(init=False)
-    eigen_angles: tuple = field(init=False)
 
     def __post_init__(self):
         data = self.data
@@ -182,13 +178,26 @@ class FixedPointData:
             j: self.fiber_exponent([-x for x in data.character(j)], [int(k == j) for k in range(1, data.m + 1)])
             for j in tangent
         }
-        angles = tuple(
-            tuple((-sum(Fraction(d) * x for d, x in zip(data.character(j), g))) % 1 for j in tangent)
-            for g in self.group_elements
-        )
         object.__setattr__(self, "tangent_indices", tangent)
         object.__setattr__(self, "tangent_weights", weights)
-        object.__setattr__(self, "eigen_angles", angles)
+
+    @cached_property
+    def group_elements(self) -> tuple[tuple[Fraction, ...], ...]:
+        """v in Q^r / Z^r with D_delta^T v integral, from the Smith form."""
+        r = self.data.r
+        _, s, v = smith_normal_form(IntMatrix.from_rows(self.data.submatrix_columns(self.delta)))
+        diag = [s[(k, k)] for k in range(r)]
+        elements = set()
+        for combo in itertools.product(*[range(d) for d in diag]):
+            y = [Fraction(j, d) for j, d in zip(combo, diag)]
+            elements.add(tuple(sum(Fraction(v[(i, k)]) * y[k] for k in range(r)) % 1 for i in range(r)))
+        if len(elements) != prod(diag):
+            raise AssertionError("isotropy enumeration does not match the Smith diagonal")
+        return tuple(sorted(elements))
+
+    @property
+    def group_order(self) -> int:
+        return len(self.group_elements)
 
     def fiber_exponent(self, u, s) -> tuple:
         """Weight of the line class (u, s) at this fixed point, length-m exponent."""
@@ -199,33 +208,18 @@ class FixedPointData:
 
 
 def fixed_point_data(data: GITData, delta) -> FixedPointData:
-    """Isotropy group, tangent weights and eigen-angles at a minimal anticone."""
+    """The solve and tangent weights at a minimal anticone."""
     delta = tuple(sorted(delta))
     if len(delta) != data.r:
         raise InputError("fixed points are anticones of size r")
     cols = data.submatrix_columns(delta)
-    r = data.r
-    # group elements: v in Q^r / Z^r with D_delta^T v integral, via Smith
-    # form; the group order is the product of the diagonal, |det D_delta|,
-    # so D_delta is invertible once the diagonal is nonzero
-    _, s, v = smith_normal_form(IntMatrix.from_rows(cols))
-    diag = [s[(k, k)] for k in range(r)]
-    if 0 in diag:
-        raise InputError("delta-columns are degenerate")
-    inverse = tuple(map(tuple, rational_inverse([[c[i] for c in cols] for i in range(r)])))
+    try:
+        inverse = tuple(map(tuple, rational_inverse([[c[i] for c in cols] for i in range(data.r)])))
+    except ValueError:
+        raise InputError("delta-columns are degenerate") from None
     if not all(sum(a * b for a, b in zip(row, data.omega)) > 0 for row in inverse):
         raise InputError("{%s} is not an anticone for this stability condition" % ",".join(map(str, delta)))
-    order = prod(diag)
-    elements = set()
-    for combo in itertools.product(*[range(d) for d in diag]):
-        y = [Fraction(j, d) for j, d in zip(combo, diag)]
-        vec = tuple(
-            sum(Fraction(v[(i, k)]) * y[k] for k in range(r)) % 1 for i in range(r)
-        )
-        elements.add(vec)
-    if len(elements) != order:
-        raise AssertionError("isotropy enumeration does not match the Smith diagonal")
-    return FixedPointData(data, delta, inverse, order, tuple(sorted(elements)))
+    return FixedPointData(data, delta, inverse)
 
 
 def restrict(E: EquivClass, fp: FixedPointData, gi: int) -> LaurentPoly:
@@ -237,8 +231,7 @@ def restrict(E: EquivClass, fp: FixedPointData, gi: int) -> LaurentPoly:
     g = fp.group_elements[gi]
     out = LaurentPoly.zero(fp.data.m)
     for (u, s), coeff in E.sorted_terms():
-        angle = sum(Fraction(a) * b for a, b in zip(u, g)) % 1
-        zeta = Cyc.root_of_unity(angle) * coeff
+        zeta = Cyc.root_of_unity(sum(a * b for a, b in zip(u, g))) * coeff
         out = out + LaurentPoly.monomial(fp.data.m, fp.fiber_exponent(u, s), zeta)
     return out
 
@@ -265,7 +258,10 @@ def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
     torus the test always passes: w_j is 1 at coordinate j and 0 at the
     other tangent coordinates, so their sum is positive on every w_j.
     """
-    fps = [fixed_point_data(data, d) for d in require_valid(data)]
+    report = validate(data)
+    if not report.passed:
+        raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
+    fps = [fixed_point_data(data, d) for d in report.cells]
     if subtorus is not None:
         for fp in fps:
             if not weights_convex([exp_apply(subtorus, fp.tangent_weights[j]) for j in fp.tangent_indices]):
@@ -331,7 +327,7 @@ def sections_character(data: GITData, u, bound: int) -> LaurentPoly:
             for k in range(data.r):
                 total[k] += ai * w[k]
         if tuple(total) == u:
-            out[tuple(Fraction(x) for x in a)] = Cyc.rational(1)
+            out[a] = Cyc.rational(1)
     return LaurentPoly(data.m, out)
 
 
@@ -357,10 +353,12 @@ def _twisted_sum(fps, E: EquivClass, subtorus) -> RationalCharacter:
     rational series."""
     terms = []
     for fp in fps:
-        weights = [fp.tangent_weights[j] for j in fp.tangent_indices]
         scale = Fraction(1, fp.group_order)
-        for gi, angles in enumerate(fp.eigen_angles):
-            factors = [Factor(Cyc.root_of_unity(theta), w) for theta, w in zip(angles, weights)]
+        for gi, g in enumerate(fp.group_elements):
+            factors = [
+                Factor(Cyc.root_of_unity(-sum(a * b for a, b in zip(fp.data.character(j), g))), fp.tangent_weights[j])
+                for j in fp.tangent_indices
+            ]
             terms.append((restrict(E, fp, gi) * scale, factors))
     chi = RationalCharacter(E.m, terms)
     return chi if subtorus is None else chi.specialize(subtorus)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
-from .exactalg import kernel_basis, parse_fraction, primitive_integer_vector
+from .exactalg import kernel_basis, oriented_primitive_vector, parse_fraction
 from .gitdata import Chamber, GITData, chamber_of_fixed_points, is_on_wall, minimal_anticones, validate
 from .localization import EquivClass
 
@@ -63,11 +63,7 @@ def _candidate_normals(data: GITData):
         kernel = kernel_basis(data.submatrix_columns(combo), data.r)
         if len(kernel) != 1:
             continue
-        n = primitive_integer_vector(kernel[0])
-        first = next(x for x in n if x)
-        if first < 0:
-            n = tuple(-x for x in n)
-        normals.add(n)
+        normals.add(oriented_primitive_vector(kernel[0]))
     return sorted(normals)
 
 

@@ -57,20 +57,13 @@ def kn_strata(wc: WallCrossing) -> tuple[KNStratum, KNStratum]:
     blade collapsing onto the minus side, and its opposite.
 
     eta is the pairing-weight of the determinant of the normal bundle of
-    the blade along the fixed locus; positivity is automatic.
+    the blade along the fixed locus: the normal directions are M_+ against
+    e and M_- against -e, so the two are ``eta_invariants``.
     """
     m_plus, m_zero, m_minus = partition_M(wc)
-    every = frozenset(range(1, wc.base.m + 1))
-
-    def build(lam, blade):
-        normal = every - blade
-        eta = sum(sum(a * b for a, b in zip(wc.base.character(i), lam)) for i in normal)
-        if eta < 0:
-            raise AssertionError("blade normal weights must be nonnegative")
-        return KNStratum(tuple(lam), frozenset(m_zero), frozenset(blade), eta)
-
-    stratum_plus = build(wc.e, m_zero | m_minus)
-    stratum_minus = build(tuple(-x for x in wc.e), m_zero | m_plus)
+    eta_plus, eta_minus = eta_invariants(wc)
+    stratum_plus = KNStratum(tuple(wc.e), m_zero, m_zero | m_minus, eta_plus)
+    stratum_minus = KNStratum(tuple(-x for x in wc.e), m_zero, m_zero | m_plus, eta_minus)
     return stratum_plus, stratum_minus
 
 

@@ -100,11 +100,10 @@ def test_fm_check_command(capsys):
     assert code == 0 and "MATCH" in out
 
 
-def test_truncation_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("TORICKIT_TRUNCATION", "2")
+def test_hrr_check_without_order_expands_through_degree_6(capsys):
     code, out, _ = run_cli(capsys, "hrr-check", "--example", "c2-diagonal", "--json")
     payload = json.loads(out)
-    assert code == 0 and "O(deg 3)" in payload["lhs"]
+    assert code == 0 and "O(deg 7)" in payload["lhs"] and "O(deg 7)" in payload["rhs"]
 
 
 def test_fixed_points_json(capsys):
@@ -156,12 +155,6 @@ def test_same_chamber_pair_exits_2(capsys):
     code, _, err = run_cli(capsys, "fm-check", "--example", "kp2", "--omega-plus", "1", "--omega-minus", "5/2",
                            "--L", "O(1)", "--M", "O(0)")
     assert code == 2 and err.startswith("input error:") and "same chamber" in err
-
-
-def test_non_integer_truncation_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("TORICKIT_TRUNCATION", "abc")
-    code, out, err = run_cli(capsys, "hrr-check", "--example", "c2-diagonal")
-    assert code == 2 and out == "" and err.startswith("input error:") and "TORICKIT_TRUNCATION" in err
 
 
 def test_negative_order_exits_2(capsys):

@@ -8,6 +8,7 @@ import rref_reference
 from torickit.exactalg.intlinalg import (
     IntMatrix,
     kernel_basis,
+    oriented_primitive_vector,
     primitive_integer_vector,
     rational_inverse,
     rational_rank,
@@ -222,3 +223,11 @@ def test_elimination_runs_without_fraction_arithmetic(monkeypatch):
     assert IntMatrix.from_rows([[0, 0, 3], [0, 2, 0], [5, 0, 0]]).det() == -30
     assert IntMatrix.from_rows([[2, 1], [4, 2]]).det() == 0
     assert IntMatrix.from_rows([[3, 1, 4], [1, 5, 9], [2, 6, 5]]).det() == -90
+
+
+def test_oriented_primitive_vector():
+    assert oriented_primitive_vector((-4, 6)) == (2, -3)
+    assert oriented_primitive_vector((0, Fraction(-1, 2), 1)) == (0, 1, -2)
+    assert oriented_primitive_vector((Fraction(1, 3), -1)) == (1, -3)
+    with pytest.raises(ValueError):
+        oriented_primitive_vector((0, 0))

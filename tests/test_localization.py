@@ -46,7 +46,9 @@ def test_fixed_point_data_p12():
     assert fp.group_order == 2
     assert fp.group_elements == ((Fraction(0),), (Fraction(1, 2),))
     assert fp.tangent_weights[1] == (Fraction(1), Fraction(-1, 2))
-    assert fp.eigen_angles == ((Fraction(0),), (Fraction(1, 2),))
+    # g = 1/2 acts on the tangent line (-D_1, e_1) by -1
+    tangent_line = EquivClass.line(1, 2, (-1,), (1, 0))
+    assert restrict(tangent_line, fp, 1) == LaurentPoly.monomial(2, fp.tangent_weights[1], Cyc.rational(-1))
 
 
 def test_fixed_point_data_conifold():
@@ -272,8 +274,13 @@ def test_euler_cyclotomic_parts_cancel():
 
 
 def test_euler_characteristic_takes_no_root_of_unity(monkeypatch):
+    from torickit import localization
+
     def refused(theta):
         raise AssertionError("a root of unity was built for an Euler characteristic")
+
+    def no_group(matrix):
+        raise AssertionError("an isotropy group was built for an Euler characteristic")
 
     cases = [
         (GITData.make(1, [(1,), (2,), (3,)], ["1"]), EquivClass.line(1, 3, (1,))),  # P(1,2,3)
@@ -282,6 +289,7 @@ def test_euler_characteristic_takes_no_root_of_unity(monkeypatch):
     ]
     with monkeypatch.context() as patch:
         patch.setattr(Cyc, "root_of_unity", staticmethod(refused))
+        patch.setattr(localization, "smith_normal_form", no_group)
         chis = [euler_characteristic(data, E) for data, E in cases]
     for (data, E), chi in zip(cases, chis):
         assert max(fp.group_order for fp in fixed_point_list(data)) > 2

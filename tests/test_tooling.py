@@ -57,6 +57,20 @@ def test_no_private_names_imported_across_modules_in_src():
     assert found == []
 
 
+def test_src_reads_no_environment_variable():
+    # every setting comes from the command line or the call, so a run is
+    # reproduced by its arguments alone
+    found = [
+        "%s:%d" % (path.relative_to(SRC), node.lineno)
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv", "getenvb"))
+        or (isinstance(node, ast.Name) and node.id in ("environ", "getenv"))
+        or (isinstance(node, ast.alias) and node.name in ("environ", "environb", "getenv", "getenvb"))
+    ]
+    assert found == []
+
+
 def _run(flags, argvs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(

@@ -497,3 +497,19 @@ def test_fm_check_takes_no_root_of_unity(monkeypatch):
     monkeypatch.setattr(Cyc, "root_of_unity", staticmethod(refused))
     assert fm_euler_check(crossing(KP2), O(1), O(0)).equal
     assert fm_euler_check(crossing(KP2), O(4), O(1)).equal
+
+
+def test_fm_check_and_lift_build_no_isotropy_group(monkeypatch):
+    # both the lift's vanishing test and the Euler characteristics read the
+    # untwisted trace, so no fixed point needs its isotropy group
+    from torickit import localization
+
+    def no_group(matrix):
+        raise AssertionError("an isotropy group was built on the FM path")
+
+    wk, rank2 = crossing(KP2), make_wall_crossing(RANK2, ["1", "1"], ["-1", "1"])
+    lifted = window_lift(wk, O(4))
+    monkeypatch.setattr(localization, "smith_normal_form", no_group)
+    assert fm_euler_check(wk, O(1), O(0)).equal
+    assert fm_euler_check(rank2, EquivClass.line(2, 5, (1, 0)), EquivClass.line(2, 5, (0, 0))).equal
+    assert window_lift(wk, O(4)) == lifted and lifted != O(4)
