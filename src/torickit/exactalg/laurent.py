@@ -12,6 +12,7 @@ keys compare and hash by value, since hash(Fraction(n)) == hash(n).
 from __future__ import annotations
 
 import operator
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from math import lcm
@@ -60,6 +61,18 @@ def _cleared(p: "LaurentPoly"):
         return None
     den = lcm(*(v.denominator for v in values))
     return {q: v.numerator * (den // v.denominator) for q, v in zip(p.terms, values)}, den
+
+
+def _rows(a: dict, b: dict, bound):
+    """(q1, x, row) for each term x*e^q1 of ``a``: row lists the terms of ``b``
+    to multiply it by, all of them, or under a bound the prefix of the terms
+    sorted by degree whose product with it has total degree <= ``bound``."""
+    terms = list(b.items())
+    if bound is None:
+        return [(q1, x, terms) for q1, x in a.items()]
+    terms.sort(key=lambda t: sum(t[0]))
+    degrees = [sum(q) for q, _ in terms]
+    return [(q1, x, terms[: bisect_right(degrees, bound - sum(q1))]) for q1, x in a.items()]
 
 
 class LaurentPoly:
@@ -120,7 +133,10 @@ class LaurentPoly:
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
-    def __mul__(self, other) -> "LaurentPoly":
+    def __mul__(self, other, bound=None) -> "LaurentPoly":
+        """The product; for two polynomials with a ``bound``, only its monomials
+        of total degree at most ``bound``, and no pair of terms above it is
+        multiplied."""
         if isinstance(other, (int, Fraction, Cyc)):
             if not other:
                 return LaurentPoly.zero(self.nvars)
@@ -137,15 +153,15 @@ class LaurentPoly:
                 # rational operands: integer products over one denominator
                 (num_a, den_a), (num_b, den_b) = a, b
                 acc = defaultdict(int)
-                for q1, x in num_a.items():
-                    for q2, y in num_b.items():
+                for q1, x, row in _rows(num_a, num_b, bound):
+                    for q2, y in row:
                         acc[exp_add(q1, q2)] += x * y
                 den = den_a * den_b
                 terms = {q: Cyc.rational(Fraction(v, den)) for q, v in acc.items() if v}
             else:
                 terms = {}
-                for q1, c1 in self.terms.items():
-                    for q2, c2 in other.terms.items():
+                for q1, c1, row in _rows(self.terms, other.terms, bound):
+                    for q2, c2 in row:
                         q = exp_add(q1, q2)
                         c = c1 * c2
                         acc = terms.get(q)
@@ -159,6 +175,7 @@ class LaurentPoly:
         return out
 
     __rmul__ = __mul__
+    mul = __mul__  # a.mul(b, bound): the bounded product, spelled as a call
 
     def __pow__(self, k: int) -> "LaurentPoly":
         if k < 0:
@@ -215,25 +232,19 @@ class LaurentPoly:
 
     # -- rendering -----------------------------------------------------------
 
-    def __str__(self):
-        if not self.terms:
-            return "0"
+    def render(self, monomial=format_exponent, key=None, reverse=False) -> str:
+        """Terms c*monomial(q) in ``sorted`` order under ``key`` and ``reverse``,
+        joined by + and -; a non-rational c is bracketed, a unit c and the
+        monomial of q = 0 are left out."""
         parts = []
-        for q in sorted(self.terms):
+        for q in sorted(self.terms, key=key, reverse=reverse):
             c = self.terms[q]
-            cs = str(c)
-            if not c.is_rational():
-                cs = "(" + cs + ")"
-            if any(q):
-                if cs == "1":
-                    parts.append(format_exponent(q))
-                elif cs == "-1":
-                    parts.append("-" + format_exponent(q))
-                else:
-                    parts.append(cs + "*" + format_exponent(q))
-            else:
-                parts.append(cs)
-        return " + ".join(parts).replace("+ -", "- ")
+            cs = str(c) if c.is_rational() else "(%s)" % c
+            parts.append({"1": "", "-1": "-"}.get(cs, cs + "*") + monomial(q) if any(q) else cs)
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+    def __str__(self):
+        return self.render()
 
     def __repr__(self):
         return "LaurentPoly(%s)" % str(self)

@@ -234,9 +234,9 @@ class RationalCharacter:
                     terms[acc_mu] = acc_c
                     acc_mu = tuple(a + b for a, b in zip(acc_mu, f.mu))
                     acc_c = acc_c * f.c
-                part = (part * LaurentPoly(self.nvars, terms)).truncate(bound)
+                part = part.mul(LaurentPoly(self.nvars, terms), bound)
             total = total + part
-        return total.truncate(bound)
+        return total
 
     # -- comparison and rendering ----------------------------------------------
 

@@ -35,29 +35,9 @@ def linear_form(nvars: int, coeffs) -> LaurentPoly:
     return LaurentPoly(nvars, {tuple(int(i == j) for j in range(nvars)): c for i, c in enumerate(coeffs) if c})
 
 
-def _format_graded(p: LaurentPoly) -> str:
-    """Render a polynomial in lambda as l1^2*l2, highest degree first."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for e in sorted(p.terms, key=lambda t: (sum(t), t), reverse=True):
-        c = p.terms[e]
-        mono = "*".join(
-            ("l%d" % (i + 1) if k == 1 else "l%d^%d" % (i + 1, k)) for i, k in enumerate(e) if k
-        )
-        cs = str(c)
-        if not c.is_rational():
-            cs = "(" + cs + ")"
-        if mono:
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-" + mono)
-            else:
-                parts.append(cs + "*" + mono)
-        else:
-            parts.append(cs)
-    return " + ".join(parts).replace("+ -", "- ")
+def format_monomial(e) -> str:
+    """lambda^e as l1^2*l2."""
+    return "*".join(("l%d" % (i + 1) if k == 1 else "l%d^%d" % (i + 1, k)) for i, k in enumerate(e) if k)
 
 
 class RatFun:
@@ -114,15 +94,13 @@ class RatFun:
         raise TypeError("RatFun is unhashable")
 
     def __str__(self):
+        def show(p, bracket):
+            text = p.render(format_monomial, key=lambda e: (sum(e), e), reverse=True)
+            return "(" + text + ")" if bracket and len(p.terms) > 1 else text
+
         if self.den == LaurentPoly.one(self.num.nvars):
-            return _format_graded(self.num)
-        ns = _format_graded(self.num)
-        if len(self.num.terms) > 1:
-            ns = "(" + ns + ")"
-        ds = _format_graded(self.den)
-        if len(self.den.terms) > 1:
-            ds = "(" + ds + ")"
-        return ns + "/" + ds
+            return show(self.num, False)
+        return show(self.num, True) + "/" + show(self.den, True)
 
     __repr__ = __str__
 
@@ -139,6 +117,16 @@ class GradedSeries:
         for n, piece in (data or {}).items():
             if n <= order and not piece.is_zero():
                 self.data[n] = piece
+
+    @staticmethod
+    def split(num: LaurentPoly, den: LaurentPoly, order: int) -> "GradedSeries":
+        """num/den for a homogeneous den, by degree: a monomial of degree d in
+        num belongs to the piece of degree d - deg(den)."""
+        shift = sum(next(iter(den.terms)))
+        pieces = {}
+        for e, c in num.terms.items():
+            pieces.setdefault(sum(e) - shift, {})[e] = c
+        return GradedSeries(num.nvars, order, {n: RatFun(LaurentPoly(num.nvars, t), den) for n, t in pieces.items()})
 
     def lower_bound(self):
         return min(self.data) if self.data else None
@@ -198,37 +186,25 @@ def bernoulli_coefficient(n: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# t-series with polynomial coefficients
+# truncated series: after lambda -> t*lambda every series here has a t^n part
+# homogeneous of degree n in lambda, so one polynomial cut above total
+# degree nmax holds it
 
 
-def tseries_mul(a: dict, b: dict, nmax: int) -> dict:
-    out: dict[int, LaurentPoly] = {}
-    for na, pa in a.items():
-        for nb, pb in b.items():
-            n = na + nb
-            if n <= nmax:
-                prod = pa * pb
-                out[n] = out[n] + prod if n in out else prod
-    return {n: p for n, p in out.items() if not p.is_zero()}
-
-
-def power_tseries(linear: LaurentPoly, nmax: int, coefficient, scale=None) -> dict:
-    """Series of scale * sum_n a_n (t*linear)^n as {n: a_n*linear^n*scale}, a_n = coefficient(n)."""
-    out = {}
+def linear_power_series(linear: LaurentPoly, nmax: int, coefficient) -> LaurentPoly:
+    """sum_{n <= nmax} a_n * linear^n for a_n = coefficient(n)."""
+    total = LaurentPoly.zero(linear.nvars)
     power = LaurentPoly.one(linear.nvars)
     for n in range(nmax + 1):
         if n:
             power = power * linear
         a = coefficient(n)
-        if not a:
-            continue
-        piece = power * (a if scale is None else a * scale)
-        if not piece.is_zero():
-            out[n] = piece
-    return out
+        if a:
+            total = total + power * a
+    return total
 
 
-def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
+def regular_factor_series(c: Cyc, linear: LaurentPoly, nmax: int) -> LaurentPoly:
     """Series of 1/(1 - c*e^{t*linear}) for c != 1 (regular at t = 0).
 
     Its t^n coefficient is a_n(c) * linear^n, a scalar times a power of the
@@ -239,7 +215,7 @@ def regular_factor_tseries(c: Cyc, linear: LaurentPoly, nmax: int) -> dict:
     ratio = c * a[0]
     for n in range(1, nmax + 1):
         a.append(ratio * sum((a[n - k] * exp_coefficient(k) for k in range(1, n + 1)), Cyc.rational(0)))
-    return power_tseries(linear, nmax, a.__getitem__)
+    return linear_power_series(linear, nmax, a.__getitem__)
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +234,19 @@ def expand_rational(x, order: int) -> GradedSeries:
     Denominator factors (1 - c e^{mu}) with c = 1 and mu != 0 are poles,
     each 1/(mu.lambda) times a Bernoulli series; the others have c != 1 and
     are regular at t = 0.  Terms with the same poles are expanded together:
-    their numerators' t-series times their regular factors are summed, the
+    their numerators' series times their regular factors are summed, the
     sum must be rational (AssertionError otherwise), and it is multiplied
-    once by the pole series.  The result collects homogeneous pieces of
-    degree n for n up to ``order`` over one denominator per expansion, the
-    product of the distinct primitive pole forms at their largest
-    multiplicity (``_pole_form``), so both sides of ``hrr_check`` share it.
+    once by the pole series.  Each series is one polynomial in lambda cut
+    above total degree ``order`` plus its number of poles.  Over one
+    denominator per expansion, the product of the distinct primitive pole
+    forms at their largest multiplicity (``_pole_form``), so that both
+    sides of ``hrr_check`` share it, the numerators add up to one
+    polynomial, which ``GradedSeries.split`` cuts into homogeneous pieces.
     """
     if isinstance(x, LaurentPoly):
         x = RationalCharacter.from_poly(x)
     nvars = x.nvars
+    zero = LaurentPoly.zero(nvars)
     groups = {}
     for num, den in x.terms:
         poles = tuple(f.mu for f in den if f.c == 1)
@@ -275,31 +254,28 @@ def expand_rational(x, order: int) -> GradedSeries:
     expanded = []
     for poles, members in groups.items():
         nmax = order + len(poles)
-        series = {}
+        series = zero
         for num, regulars in members:
-            part = {}
-            for q, c in num.terms.items():
-                for n, p in power_tseries(linear_form(nvars, q), nmax, exp_coefficient, scale=c).items():
-                    part[n] = part[n] + p if n in part else p
+            part = sum(
+                (linear_power_series(linear_form(nvars, q), nmax, exp_coefficient) * c for q, c in num.terms.items()),
+                zero,
+            )
             for f in regulars:
-                part = tseries_mul(part, regular_factor_tseries(f.c, linear_form(nvars, f.mu), nmax), nmax)
-            for n, p in part.items():
-                series[n] = series[n] + p if n in series else p
-        if not all(p.all_rational() for p in series.values()):
+                part = part.mul(regular_factor_series(f.c, linear_form(nvars, f.mu), nmax), nmax)
+            series = series + part
+        if not series.all_rational():
             raise AssertionError("the terms with poles %s sum to a non-rational series" % (list(poles),))
         for mu in poles:
-            series = tseries_mul(series, power_tseries(linear_form(nvars, mu), nmax, bernoulli_coefficient), nmax)
+            series = series.mul(linear_power_series(linear_form(nvars, mu), nmax, bernoulli_coefficient), nmax)
         forms = [_pole_form(mu) for mu in poles]
-        expanded.append((series, len(poles), prod(-1 / s for s, _ in forms), Counter(f for _, f in forms)))
+        expanded.append((series, prod(-1 / s for s, _ in forms), Counter(f for _, f in forms)))
     common = Counter()
     for *_, forms in expanded:
         common |= forms
     one = LaurentPoly.one(nvars)
     den = prod((linear_form(nvars, f) ** k for f, k in common.items()), start=one)
-    nums = {}
-    for series, k, scale, forms in expanded:
+    total = zero
+    for series, scale, forms in expanded:
         cofactor = prod((linear_form(nvars, f) ** j for f, j in (common - forms).items()), start=one * scale)
-        for n, p in series.items():
-            p = p * cofactor
-            nums[n - k] = nums[n - k] + p if n - k in nums else p
-    return GradedSeries(nvars, order, {n: RatFun(p, den) for n, p in nums.items()})
+        total = total + series * cofactor
+    return GradedSeries.split(total, den, order)

@@ -91,6 +91,11 @@ class GITData:
         for field in ("r", "m", "weights", "omega"):
             if field not in obj:
                 raise InputError("GIT data is missing field '%s'" % field)
+        # a JSON string would be read one character at a time
+        if not isinstance(obj["weights"], list) or not all(isinstance(w, list) for w in obj["weights"]):
+            raise InputError("field 'weights' must be a JSON list of lists")
+        if not isinstance(obj["omega"], list):
+            raise InputError("field 'omega' must be a JSON list")
         try:
             data = GITData.make(parse_int(obj["r"]), obj["weights"], obj["omega"])
             m = parse_int(obj["m"])

@@ -133,6 +133,8 @@ class EquivClass:
             unknown = set(entry) - {"u", "s", "coeff"}
             if unknown:
                 raise InputError("unknown fields in class spec: %s" % ", ".join(sorted(unknown)))
+            if not all(isinstance(entry.get(k, []), list) for k in ("u", "s")):
+                raise InputError("class spec fields 'u' and 's' must be JSON lists")
             try:
                 u = tuple(parse_int(x) for x in entry["u"])
                 s = tuple(parse_int(x) for x in entry.get("s", [0] * m))
@@ -197,7 +199,8 @@ class FixedPointData:
 
     @property
     def group_order(self) -> int:
-        return len(self.group_elements)
+        """|G| = |det D_delta|, with no group element built."""
+        return abs(IntMatrix.from_rows(self.data.submatrix_columns(self.delta)).det())
 
     def fiber_exponent(self, u, s) -> tuple:
         """Weight of the line class (u, s) at this fixed point, length-m exponent."""

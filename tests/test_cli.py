@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from budget import Budget
+from torickit import localization
 from torickit.cli import main, parse_class
 from torickit.examples import catalog, get_example
 from torickit.gitdata import GITData
@@ -292,6 +293,46 @@ def test_boolean_git_data_exits_2(capsys, tmp_path, text):
     path.write_text(text)
     code, out, err = run_cli(capsys, "validate", "--data", str(path))
     assert code == 2 and out == "" and err.startswith("input error:")
+
+
+P1XP1 = '{"r": 2, "m": 4, "weights": [[1, 0], [1, 0], [0, 1], [0, 1]], "omega": ["1", "1"]}'
+
+
+@pytest.mark.parametrize(
+    "text, argv",
+    [
+        ('{"r": 1, "m": 2, "weights": "12", "omega": ["1"]}', ["validate"]),
+        ('{"r": 2, "m": 2, "weights": ["10", "01"], "omega": "11"}', ["validate"]),
+        ('{"r": 2, "m": 2, "weights": ["10", "01"], "omega": ["1", "1"]}', ["validate"]),
+        ('{"r": 2, "m": 2, "weights": [[1, 0], [0, 1]], "omega": "11"}', ["validate"]),
+        (P1XP1, ["euler", "--class", '[{"u": "12"}]']),
+        (P1XP1, ["euler", "--class", '[{"u": [1, 2], "s": "0000"}]']),
+    ],
+    ids=["weights", "weight-rows-and-omega", "weight-rows", "omega", "class-u", "class-s"],
+)
+def test_json_string_where_list_is_required_exits_2(capsys, tmp_path, text, argv):
+    # a JSON string is not read one character at a time: "12" is not [1, 2]
+    path = tmp_path / "data.json"
+    path.write_text(text)
+    command, *rest = argv
+    code, out, err = run_cli(capsys, command, "--data", str(path), *rest)
+    assert code == 2 and out == "" and err.startswith("input error:")
+
+
+def test_fixed_points_prints_group_order_without_enumerating_the_group(capsys, tmp_path, monkeypatch):
+    # |G| = |det D_delta| = 20000 at the fixed point {2}: no Smith form and
+    # no group element is needed to print it
+    path = tmp_path / "data.json"
+    path.write_text('{"r": 1, "m": 2, "weights": [[1], [20000]], "omega": ["1"]}')
+
+    def refused(*args):
+        raise AssertionError("the isotropy group was enumerated")
+
+    monkeypatch.setattr(localization, "smith_normal_form", refused)
+    with Budget("fixed-points |G|=20000", "isotropy order as a determinant", 0.5):
+        code, out, err = run_cli(capsys, "fixed-points", "--data", str(path))
+    assert (code, err) == (0, "")
+    assert "|G|=20000" in out and "|G|=1" in out
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -185,3 +186,52 @@ def test_product_with_a_root_of_unity_is_zeta_times_the_rational_product():
     assert len(expected) == 4
     assert ((p * z) * q).terms == expected
     assert (q * (z * p)).terms == expected
+
+
+def _random_poly(rng, nvars, roots):
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        q = tuple(Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(nvars))
+        c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        terms[q] = c * rng.choice(roots) if c else c
+    return LaurentPoly(nvars, terms)
+
+
+def test_bounded_product_is_the_truncated_product():
+    # seeded draws with rational and root-of-unity coefficients and negative
+    # and fractional exponents; the bounds run from below the lowest degree
+    # of the product to above its highest
+    rng = random.Random(2024)
+    rational = [Cyc.rational(1)]
+    roots = rational + [Cyc.root_of_unity(Fraction(k, n)) for n, k in ((3, 1), (4, 1), (6, 5))]
+    cut = {True: 0, False: 0}  # (draw, bound) pairs whose cut dropped terms, by rationality
+    for trial in range(120):
+        nvars = rng.randint(1, 3)
+        a = _random_poly(rng, nvars, roots if trial % 2 else rational)
+        b = _random_poly(rng, nvars, roots if trial % 3 else rational)
+        full = a * b
+        degrees = [sum(q) for q in full.terms] or [0]
+        for twice in range(2 * int(min(degrees)) - 3, 2 * int(max(degrees)) + 4):
+            bound = Fraction(twice, 2)
+            expected = full.truncate(bound)
+            assert a.mul(b, bound) == expected, (a, b, bound)
+            assert b.mul(a, bound) == expected
+            cut[full.all_rational()] += expected != full
+        assert a.mul(b) == full
+    assert min(cut.values()) >= 50
+
+
+def test_bounded_product_multiplies_no_pair_above_the_bound(monkeypatch):
+    z = Cyc.root_of_unity(Fraction(1, 3))
+    a = LaurentPoly(1, {(k,): z for k in range(-2, 5)})
+    b = LaurentPoly(1, {(Fraction(k, 2),): z for k in range(6)})
+    pairs = []
+    mul = Cyc.__mul__
+
+    def counting(self, other):
+        pairs.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyc, "__mul__", counting)
+    a.mul(b, 1)
+    assert len(pairs) == sum(i + Fraction(j, 2) <= 1 for i in range(-2, 5) for j in range(6)) == 15

@@ -71,6 +71,29 @@ def test_src_reads_no_environment_variable():
     assert found == []
 
 
+def test_every_helper_in_src_is_referenced():
+    # no unused helpers: every function and class defined in src/, dunders
+    # aside, is named somewhere in src/ or tests/ (a name, an attribute, an
+    # import or an __all__ entry)
+    definitions, referenced = [], set()
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                referenced.update(ast.literal_eval(node.value))
+            elif path.is_relative_to(SRC) and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    definitions.append((node.name, "%s:%d" % (path.relative_to(SRC), node.lineno)))
+    assert len(definitions) >= 150
+    assert [where + " " + name for name, where in definitions if name not in referenced] == []
+
+
 def _run(flags, argvs):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
