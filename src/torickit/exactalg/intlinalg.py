@@ -234,7 +234,7 @@ def kernel_basis(rows, ncols):
 
 def primitive_integer_vector(v) -> tuple[int, ...]:
     """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    v = [Fraction(x) for x in v]
+    v = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     if not any(v):
         raise ValueError("zero vector has no primitive form")
     den = lcm(*[x.denominator for x in v])
@@ -248,3 +248,9 @@ def oriented_primitive_vector(v) -> tuple[int, ...]:
     entry is positive."""
     f = primitive_integer_vector(v)
     return f if next(x for x in f if x) > 0 else tuple(-x for x in f)
+
+
+def primitive_form(v) -> tuple[Fraction, tuple[int, ...]]:
+    """v as s * f with f = oriented_primitive_vector(v) and s a nonzero rational."""
+    f = oriented_primitive_vector(v)
+    return next(Fraction(a, b) for a, b in zip(v, f) if b), f

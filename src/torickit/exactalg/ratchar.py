@@ -3,15 +3,20 @@
 This is the shape localization produces, and it is kept that way: terms
 accumulate, nothing is eagerly put over a common denominator, and no
 multivariate gcd is ever attempted.  Equality clears the finite set of
-denominator factors and compares Laurent polynomials exactly.
+denominator factors and compares Laurent polynomials exactly.  The factors
+(1 - e^{s f}) of one primitive form f, whatever s, clear as one (1 - e^{L f}),
+so opposite and multiple factors do not each double the cleared numerator.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .cyclotomic import Cyc
+from .intlinalg import primitive_form
 from .laurent import LaurentPoly, exp_add, exp_apply, exp_entry, exp_zero, format_exponent
 
 
@@ -83,6 +88,9 @@ class Factor:
         if cs == "-1":
             return "(1 + %s)" % format_exponent(self.mu)
         return "(1 - (%s)*%s)" % (cs, format_exponent(self.mu))
+
+
+_ONE = Cyc.rational(1)
 
 
 def _normalize_factors(num: LaurentPoly, factors):
@@ -176,31 +184,74 @@ class RationalCharacter:
             out.append((new_num, new_den))
         return RationalCharacter(width, out)
 
-    def denominator_factors(self) -> dict:
-        """Multiset (factor -> max multiplicity over terms) of all factors."""
-        common: dict[Factor, int] = {}
-        for _, den in self.terms:
+    def _clearing(self):
+        """(common, parts): the canonical factors, factor -> largest multiplicity
+        over the terms, and per term (numerator, multiplier or None, counts).
+        A factor with c != 1 is its own.  With c = 1, mu = s f (``primitive_form``):
+        s < 0 flips by 1/(1 - e^mu) = -e^{-mu}/(1 - e^{-mu}), and then
+        1/(1 - e^{s f}) = (1 + e^{s f} + ... + e^{(L/s - 1) s f})/(1 - e^{L f}),
+        L the rational lcm of the multiples |s| of f over the character."""
+        nvars = self.nvars
+        split, scale = [], {}
+        for num, den in self.terms:
+            count, poles, shift, sign = {}, [], exp_zero(nvars), 1
             for f in den:
-                common[f] = max(common.get(f, 0), den.count(f))
-        return common
+                if f.c != _ONE:
+                    count[f] = count.get(f, 0) + 1
+                    continue
+                s, g = primitive_form(f.mu)
+                if s < 0:
+                    s, shift, sign = -s, tuple(map(operator.sub, shift, f.mu)), -sign
+                poles.append((s, g))
+                t = scale.get(g, s)
+                scale[g] = Fraction(lcm(s.numerator, t.numerator), gcd(s.denominator, t.denominator))
+            # each flip adds |s| f, lexicographically positive: no flip, no shift
+            flip = LaurentPoly.monomial(nvars, tuple(map(exp_entry, shift)), sign) if any(shift) else None
+            split.append((num, flip, poles, count))
+        canonical = {g: Factor(_ONE, tuple(exp_entry(L * x) for x in g)) for g, L in scale.items()}
+        common, parts = {}, []
+        for num, multiplier, poles, count in split:
+            for s, g in poles:
+                f = canonical[g]
+                count[f] = count.get(f, 0) + 1
+                n = (scale[g] / s).numerator
+                if n > 1:
+                    geometric = LaurentPoly(nvars, {tuple(exp_entry(j * s * x) for x in g): 1 for j in range(n)})
+                    multiplier = geometric if multiplier is None else multiplier * geometric
+            for f, k in count.items():
+                if k > common.get(f, 0):
+                    common[f] = k
+            parts.append((num, multiplier, count))
+        return common, parts
+
+    def _cleared(self):
+        """(cleared numerator, canonical factors) from one ``_clearing``."""
+        common, parts = self._clearing()
+        total = LaurentPoly.zero(self.nvars)
+        for num, multiplier, count in parts:
+            if multiplier is not None:
+                num = num * multiplier
+            for f, k in common.items():
+                num = f.times(num, k - count.get(f, 0))
+            total = total + num
+        return total, common
+
+    def denominator_factors(self) -> dict:
+        """The canonical common denominator, factor -> multiplicity: each c != 1
+        factor, and one (1 - e^{L f}) per primitive form f of the c = 1 ones."""
+        return self._clearing()[0]
 
     def cleared_numerator(self) -> LaurentPoly:
-        """The single numerator over the common denominator of
-        ``denominator_factors``, without expanding that denominator."""
-        common = self.denominator_factors()
-        total = LaurentPoly.zero(self.nvars)
-        for num, den in self.terms:
-            for f, k in common.items():
-                num = f.times(num, k - den.count(f))
-            total = total + num
-        return total
+        """The single numerator over the product of ``denominator_factors``,
+        without expanding that product."""
+        return self._cleared()[0]
 
     def as_laurent_polynomial(self):
         """The character as a finite Laurent polynomial, or None if it is not one.
         A polynomial P clears to P times every factor, so each one-factor
         division stays a polynomial and a failed one proves P does not exist."""
-        p = self.cleared_numerator()
-        for f, k in self.denominator_factors().items():
+        p, common = self._cleared()
+        for f, k in common.items():
             for _ in range(k):
                 p = f.divide(p)
                 if p is None:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from math import comb, factorial, prod
 
 from .cyclotomic import Cyc
-from .intlinalg import oriented_primitive_vector
+from .intlinalg import primitive_form
 from .laurent import LaurentPoly
 from .ratchar import RationalCharacter
 
@@ -128,9 +128,6 @@ class GradedSeries:
             pieces.setdefault(sum(e) - shift, {})[e] = c
         return GradedSeries(num.nvars, order, {n: RatFun(LaurentPoly(num.nvars, t), den) for n, t in pieces.items()})
 
-    def lower_bound(self):
-        return min(self.data) if self.data else None
-
     def coefficient(self, n: int) -> RatFun:
         return self.data.get(n, RatFun.scalar(self.nvars, 0))
 
@@ -222,12 +219,6 @@ def regular_factor_series(c: Cyc, linear: LaurentPoly, nmax: int) -> LaurentPoly
 # the expansion itself
 
 
-def _pole_form(mu) -> tuple[Fraction, tuple[int, ...]]:
-    """mu as s * f, f a primitive integer vector whose first nonzero entry is positive."""
-    f = oriented_primitive_vector(mu)
-    return next(Fraction(a) / b for a, b in zip(mu, f) if b), f
-
-
 def expand_rational(x, order: int) -> GradedSeries:
     """Laurent-expand a rational character after lambda -> t*lambda.
 
@@ -239,7 +230,7 @@ def expand_rational(x, order: int) -> GradedSeries:
     once by the pole series.  Each series is one polynomial in lambda cut
     above total degree ``order`` plus its number of poles.  Over one
     denominator per expansion, the product of the distinct primitive pole
-    forms at their largest multiplicity (``_pole_form``), so that both
+    forms at their largest multiplicity (``primitive_form``), so that both
     sides of ``hrr_check`` share it, the numerators add up to one
     polynomial, which ``GradedSeries.split`` cuts into homogeneous pieces.
     """
@@ -267,7 +258,7 @@ def expand_rational(x, order: int) -> GradedSeries:
             raise AssertionError("the terms with poles %s sum to a non-rational series" % (list(poles),))
         for mu in poles:
             series = series.mul(linear_power_series(linear_form(nvars, mu), nmax, bernoulli_coefficient), nmax)
-        forms = [_pole_form(mu) for mu in poles]
+        forms = [primitive_form(mu) for mu in poles]
         expanded.append((series, prod(-1 / s for s, _ in forms), Counter(f for _, f in forms)))
     common = Counter()
     for *_, forms in expanded:

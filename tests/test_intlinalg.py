@@ -9,6 +9,7 @@ from torickit.exactalg.intlinalg import (
     IntMatrix,
     kernel_basis,
     oriented_primitive_vector,
+    primitive_form,
     primitive_integer_vector,
     rational_inverse,
     rational_rank,
@@ -231,3 +232,9 @@ def test_oriented_primitive_vector():
     assert oriented_primitive_vector((Fraction(1, 3), -1)) == (1, -3)
     with pytest.raises(ValueError):
         oriented_primitive_vector((0, 0))
+
+
+def test_primitive_form():
+    assert primitive_form((-4, 6)) == (Fraction(-2), (2, -3))
+    assert primitive_form((0, Fraction(-1, 2), 1)) == (Fraction(-1, 2), (0, 1, -2))
+    assert primitive_form((Fraction(2, 3), -2)) == (Fraction(2, 3), (1, -3))

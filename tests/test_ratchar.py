@@ -1,8 +1,11 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
+import clearing_reference
 from torickit.exactalg.cyclotomic import Cyc
 from torickit.exactalg.laurent import LaurentPoly
 from torickit.exactalg.ratchar import (
@@ -106,6 +109,21 @@ def test_cleared_fraction_and_polynomial_extraction():
     assert y.as_laurent_polynomial() == LaurentPoly.one(1) + LaurentPoly.monomial(1, (1,))
 
 
+def test_clearing_keeps_one_factor_per_primitive_form():
+    # 1/(1-e^l) + 1/(1-e^-l) + 1/(1-e^2l): opposite and multiple factors
+    # share (1 - e^2l); the terms the character holds keep their own
+    x = geom(1, (1,)) + geom(1, (-1,)) + geom(1, (2,))
+    assert x.denominator_factors() == {Factor(Cyc.rational(1), (2,)): 1}
+    assert str(x) == "1 / (1 - e[-1])  +  1 / (1 - e[1])  +  1 / (1 - e[2])"
+    # 1/(1-e^l) + 1/(1-e^-l) = 1, and the multiples 1/2 and -3/2 meet at 3/2
+    assert (geom(1, (1,)) + geom(1, (-1,))).as_laurent_polynomial() == LaurentPoly.one(1)
+    y = geom(2, (Fraction(1, 2), 1)) * geom(2, (Fraction(-3, 2), -3)) + geom(2, (0, 1), Fraction(1, 2))
+    assert y.denominator_factors() == {
+        Factor(Cyc.rational(1), (Fraction(3, 2), 3)): 2,
+        Factor(Cyc.rational(Fraction(1, 2)), (0, 1)): 1,
+    }
+
+
 def test_rat_equal_is_a_congruence():
     a = geom(1, (1,))
     b = RationalCharacter.one(1) + mono((1,)) * geom(1, (1,))  # same function
@@ -147,7 +165,11 @@ def _random_numerator(rng, nvars):
 
 
 def test_shift_and_subtract_clearing_matches_products():
-    # root-of-unity c, fractional mu and factors repeated within and across terms
+    # root-of-unity c, fractional mu and factors repeated within and across
+    # terms.  The clearing may rewrite factors (opposite and multiple forms
+    # share one), so the reference is the cross-multiplied identity
+    # N * prod_i den_i == D * sum_i num_i * prod_{j != i} den_j in plain
+    # products, D the product of ``denominator_factors``
     rng = random.Random(2014)
     for _ in range(40):
         pool = [_random_factor(rng, 2) for _ in range(3)]
@@ -156,19 +178,17 @@ def test_shift_and_subtract_clearing_matches_products():
             for _ in range(rng.randint(1, 3))
         ])
         common = x.denominator_factors()
-        expected = LaurentPoly.zero(2)
-        for num, den in x.terms:
-            for f, k in common.items():
-                for _ in range(k - den.count(f)):
-                    num = num * f.as_poly(2)
-            expected = expected + num
+        dens = [prod((f.as_poly(2) for f in den), start=LaurentPoly.one(2)) for _, den in x.terms]
         den_expected = LaurentPoly.one(2)
         for f, k in common.items():
             den_expected = den_expected * f.as_poly(2) ** k
+        rhs = LaurentPoly.zero(2)
+        for i, (num, _) in enumerate(x.terms):
+            rhs = rhs + prod((d for j, d in enumerate(dens) if j != i), start=num)
+        assert x.cleared_numerator() * prod(dens, start=LaurentPoly.one(2)) == den_expected * rhs
         den_times = LaurentPoly.one(2)
         for f, k in common.items():
             den_times = f.times(den_times, k)
-        assert x.cleared_numerator() == expected
         assert den_times == den_expected
         p, f, k = _random_numerator(rng, 2), rng.choice(pool), rng.randint(0, 3)
         assert f.times(p, k) == p * f.as_poly(2) ** k
@@ -176,3 +196,62 @@ def test_shift_and_subtract_clearing_matches_products():
         # left over is never a multiple of a binomial
         assert f.divide(f.times(p, k + 1)) == f.times(p, k)
         assert f.divide(f.times(p, k + 1) + LaurentPoly.monomial(2, (9, 9))) is None
+
+
+FORMS = [(1, 0), (0, 1), (1, -1), (1, 2)]
+MULTIPLES = [1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _rewrite(rng, num, den):
+    """The same fraction with one factor f = (1 - c e^mu) flipped, by
+    1/f = -c^-1 e^-mu / (1 - c^-1 e^-mu), or doubled, by
+    1/f = (1 + c e^mu) / (1 - c^2 e^2mu)."""
+    if not den:
+        return num, den
+    i = rng.randrange(len(den))
+    f, rest = den[i], den[:i] + den[i + 1:]
+    if rng.random() < 0.5:
+        inv, neg = f.c.inverse(), tuple(-x for x in f.mu)
+        return num * LaurentPoly.monomial(2, neg, -inv), rest + [Factor(inv, neg)]
+    return num * LaurentPoly(2, {(0, 0): 1, f.mu: f.c}), rest + [Factor(f.c * f.c, tuple(2 * x for x in f.mu))]
+
+
+def _draw(rng):
+    """A zero, a Laurent polynomial or a random character, over factors of
+    one primitive form at three multiples (opposite ones among them) and one
+    random factor, which may carry a root of unity and a fractional mu."""
+    g = rng.choice(FORMS)
+    pool = [Factor(Cyc.rational(1), tuple(s * x for x in g)) for s in rng.sample(MULTIPLES, 3)]
+    pool.append(_random_factor(rng, 2))
+    terms = [
+        (_random_numerator(rng, 2), [rng.choice(pool) for _ in range(rng.randint(0, 3))])
+        for _ in range(rng.randint(1, 3))
+    ]
+    kind = rng.randrange(3)
+    if kind == 0:
+        terms += [_rewrite(rng, -num, den) for num, den in terms]
+    elif kind == 1:
+        num, den = _random_numerator(rng, 2), rng.sample(pool, rng.randint(1, 3))
+        for f in den:
+            num = f.times(num)
+        terms = [_rewrite(rng, num, den)]
+    return RationalCharacter(2, terms)
+
+
+def test_canonical_clearing_agrees_with_per_factor_clearing():
+    # against the clearing that keeps every distinct factor: the same zeros,
+    # the same polynomials and the same rationality after clearing
+    rng = random.Random(25)
+    outcomes = Counter()
+    for _ in range(200):
+        x = _draw(rng)
+        reference = clearing_reference.cleared_numerator(x)
+        zero = x.is_zero()
+        assert zero == reference.is_zero()
+        poly = x.as_laurent_polynomial()
+        assert poly == clearing_reference.as_laurent_polynomial(x)
+        rational = x.cleared_numerator().all_rational()
+        assert rational == reference.all_rational()
+        outcomes.update([("zero", zero), ("polynomial", poly is not None), ("rational", rational)])
+    # no outcome may pass vacuously
+    assert min(outcomes.values()) >= 30 and len(outcomes) == 6, outcomes

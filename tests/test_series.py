@@ -67,7 +67,7 @@ def test_expand_double_pole_reference_values():
 def test_expand_constant():
     s = expand_rational(RationalCharacter.one(1), 5)
     assert s.coefficient(0) == const_piece(1)
-    assert s.lower_bound() == 0
+    assert min(s.data) == 0
     assert all(s.coefficient(n).is_zero() for n in range(1, 6))
 
 
