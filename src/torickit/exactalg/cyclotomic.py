@@ -13,6 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .intlinalg import rational_solve
+
 
 def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     """Quotient and remainder of dense rational polynomials (low degree first)."""
@@ -71,8 +73,9 @@ class Cyc:
     """An element of a cyclotomic field; ``n == 1`` exactly when it is rational.
 
     A non-rational value keeps the conductor it was built at, which need not
-    be minimal (zeta_12^4 is zeta_3 at conductor 12), so equality promotes
-    and hashing does not read the coordinates of a non-rational value.
+    be minimal (zeta_12^4 is zeta_3 at conductor 12), so equality promotes,
+    hashing does not read the coordinates of a non-rational value, and
+    printing finds the least conductor first.
     """
 
     __slots__ = ("n", "coeffs")
@@ -239,17 +242,29 @@ class Cyc:
     def __repr__(self):
         return "Cyc(%d, %s)" % (self.n, list(self.coeffs))
 
+    def _least_field(self) -> tuple[int, list[Fraction]]:
+        """(d, coordinates): the least d | n whose field Q(zeta_d) holds the
+        value, found by one exact solve per divisor against the images of
+        its power basis, and the value's coordinates there."""
+        for d in range(1, self.n):
+            if self.n % d == 0:
+                units = [tuple(Fraction(int(i == j)) for i in range(_phi(d))) for j in range(_phi(d))]
+                x = rational_solve([_reduced(d, unit)._promoted(self.n) for unit in units], list(self.coeffs))
+                if x is not None:
+                    return d, x
+        return self.n, list(self.coeffs)
+
     def __str__(self):
-        if self.n == 1:
-            return format_fraction(self.coeffs[0])
+        """The value at its least conductor, so equal values print alike."""
+        n, coeffs = self._least_field()
         parts = []
-        for k, c in enumerate(self.coeffs):
+        for k, c in enumerate(coeffs):
             if not c:
                 continue
             if k == 0:
                 parts.append(format_fraction(c))
             else:
-                mon = "z%d" % self.n if k == 1 else "z%d^%d" % (self.n, k)
+                mon = "z%d" % n if k == 1 else "z%d^%d" % (n, k)
                 if c == 1:
                     parts.append(mon)
                 elif c == -1:

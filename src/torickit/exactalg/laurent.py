@@ -53,9 +53,9 @@ def format_exponent(q: Exponent) -> str:
     return "e[" + ",".join(format_fraction(Fraction(x)) for x in q) + "]"
 
 
-def _cleared(p: "LaurentPoly"):
-    """p's coefficients as integer numerators over the lcm of their
-    denominators, or None when one of them is not rational."""
+def integer_coefficients(p: "LaurentPoly"):
+    """(terms, den): p's coefficients as integer numerators over the lcm of
+    their denominators, or None when one of them is not rational."""
     values = [c.coeffs[0] for c in p.terms.values() if c.n == 1]
     if len(values) < len(p.terms):
         return None
@@ -73,6 +73,18 @@ def _rows(a: dict, b: dict, bound):
     terms.sort(key=lambda t: sum(t[0]))
     degrees = [sum(q) for q, _ in terms]
     return [(q1, x, terms[: bisect_right(degrees, bound - sum(q1))]) for q1, x in a.items()]
+
+
+def mul_terms(a: dict, b: dict, bound=None) -> dict:
+    """The product of two term dicts with integer coefficients; under a
+    ``bound``, only its monomials of total degree at most ``bound``, and no
+    pair of terms above it is multiplied.  A coefficient that cancels stays
+    as a 0 entry, for the caller to drop where it builds its result."""
+    acc = defaultdict(int)
+    for q1, x, row in _rows(a, b, bound):
+        for q2, y in row:
+            acc[exp_add(q1, q2)] += x * y
+    return acc
 
 
 class LaurentPoly:
@@ -148,16 +160,11 @@ class LaurentPoly:
             }
         else:
             self._check(other)
-            a, b = _cleared(self), _cleared(other)
+            a, b = integer_coefficients(self), integer_coefficients(other)
             if a and b:
                 # rational operands: integer products over one denominator
-                (num_a, den_a), (num_b, den_b) = a, b
-                acc = defaultdict(int)
-                for q1, x, row in _rows(num_a, num_b, bound):
-                    for q2, y in row:
-                        acc[exp_add(q1, q2)] += x * y
-                den = den_a * den_b
-                terms = {q: Cyc.rational(Fraction(v, den)) for q, v in acc.items() if v}
+                den = a[1] * b[1]
+                terms = {q: Cyc.rational(Fraction(v, den)) for q, v in mul_terms(a[0], b[0], bound).items() if v}
             else:
                 terms = {}
                 for q1, c1, row in _rows(self.terms, other.terms, bound):

@@ -5,7 +5,7 @@ resolution."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
@@ -24,6 +24,9 @@ class WallCrossing:
     omega_zero: tuple
     e: tuple[int, ...]
     crepant: bool
+    # the minimal anticones of the two sides, from their ``validate`` reports
+    cells_plus: tuple = field(compare=False)
+    cells_minus: tuple = field(compare=False)
 
     @property
     def data_plus(self) -> GITData:
@@ -113,7 +116,7 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
         e = tuple(-x for x in e)
     total = tuple(sum(w[k] for w in base.weights) for k in range(base.r))
     crepant = sum(a * b for a, b in zip(total, e)) == 0
-    return WallCrossing(data_p, omega_plus, omega_minus, point(t_star), e, crepant)
+    return WallCrossing(data_p, omega_plus, omega_minus, point(t_star), e, crepant, reports[0].cells, reports[1].cells)
 
 
 def partition_M(wc: WallCrossing):
@@ -259,12 +262,13 @@ def extend(wc: WallCrossing) -> ExtendedGIT:
 def _verify_reductions(ext: ExtendedGIT, cells_plus, cells_minus):
     """At the side stability conditions every anticone contains the extra
     index, and deleting it recovers the base semistable loci.  The cells
-    are the minimal anticones of ``ext.data_plus`` and ``ext.data_minus``."""
+    are the minimal anticones of ``ext.data_plus`` and ``ext.data_minus``;
+    the base sides' are the ones ``make_wall_crossing`` validated."""
     m1 = ext.wc.base.m + 1
-    for minimal, base_data in ((cells_plus, ext.wc.data_plus), (cells_minus, ext.wc.data_minus)):
+    for minimal, base_cells in ((cells_plus, ext.wc.cells_plus), (cells_minus, ext.wc.cells_minus)):
         if any(m1 not in a for a in minimal):
             raise AssertionError("an anticone at a side stability misses the extra index")
-        if {a - {m1} for a in minimal} != set(minimal_anticones(base_data).minimal):
+        if {a - {m1} for a in minimal} != set(base_cells):
             raise AssertionError("side chamber does not reduce to the base quotient")
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torickit.exactalg.cyclotomic import Cyc, cyclotomic_polynomial, parse_fraction
+from torickit.exactalg.laurent import LaurentPoly
+from torickit.exactalg.ratchar import Factor, RationalCharacter
 
 
 def zeta(n, k=1):
@@ -116,3 +119,39 @@ def test_hash_agrees_with_equality():
     assert a == b and b == a and hash(a) == hash(b)
     assert {b: "v"}[a] == "v" and {a: "v"}[b] == "v"
     assert a != zeta(3, 2) and len({a, b, zeta(3, 2)}) == 2
+
+
+def test_equal_values_print_at_their_least_conductor():
+    # zeta_6 = 1 + zeta_3, and -1 + zeta_12^2 = -1 + zeta_6 = zeta_3
+    assert [str(v) for v in (zeta(6), 1 + zeta(3), -1 + zeta(12) ** 2)] == ["1 + z3", "1 + z3", "z3"]
+    assert str(2 * zeta(12) ** 3) == "2*z4" and str(zeta(12)) == "z12"
+    assert str(zeta(12) ** 6) == "-1" and str(zeta(5, 2) + zeta(4)).count("z20") == 4
+
+
+def test_polynomial_characters_print_as_their_numerators():
+    # P * prod(f) / prod(f) divides back to P through arithmetic at other
+    # conductors (each factor's root of unity); the quotient equals P and
+    # so must print as P does
+    roots = [Cyc.rational(1), Cyc.rational(-1)] + [zeta(n, k) for k, n in ((1, 3), (3, 4), (1, 5), (1, 6), (5, 12))]
+    rng = random.Random(22)
+    nonrational = 0
+    for _ in range(420):
+        nvars = rng.randint(1, 3)
+        p = LaurentPoly(nvars, {
+            tuple(rng.randint(-2, 2) for _ in range(nvars)): rng.choice(roots) * rng.choice((1, -2, Fraction(1, 3)))
+            for _ in range(rng.randint(1, 3))
+        })
+        factors = []
+        for _ in range(rng.randint(1, 2)):
+            mu = (0,) * nvars
+            while not any(mu):
+                mu = tuple(Fraction(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(nvars))
+            factors.append(Factor(rng.choice(roots), mu))
+        num = p
+        for f in factors:
+            num = f.times(num)
+        got = RationalCharacter.fraction(num, factors).as_laurent_polynomial()
+        assert got == p
+        assert str(got) == str(p)
+        nonrational += not got.all_rational()
+    assert nonrational >= 200

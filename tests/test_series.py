@@ -1,16 +1,21 @@
+import random
+from collections import Counter
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 import pytest
 
+import series_reference
+from budget import Budget
 from torickit.exactalg.cyclotomic import Cyc
+from torickit.exactalg.intlinalg import primitive_form
 from torickit.exactalg.laurent import LaurentPoly
 from torickit.exactalg.ratchar import Factor, RationalCharacter, rat_equal
 from torickit.exactalg.series import (
     RatFun,
     bernoulli,
     expand_rational,
-    linear_form,
+    linear_powers,
     regular_factor_series,
 )
 
@@ -116,13 +121,12 @@ def test_expand_multiplicative_up_to_truncation():
 def test_regular_factor_matches_eulerian_closed_form():
     # 1/(1 - c e^x) = sum_m c^m e^{mx}, so a_n(c) = Li_{-n}(c)/n!, which is
     # c A_n(c) / ((1 - c)^{n+1} n!) for n >= 1
-    x = linear_form(1, (1,))
     assert eulerian_polynomial(1, Cyc.rational(7)) == 1
     assert eulerian_polynomial(2, Cyc.rational(7)) == 8
     values = [Cyc.rational(v) for v in (-1, 2, Fraction(1, 2))]
     values += [Cyc.root_of_unity(Fraction(1, n)) for n in (3, 4, 6)]
     for c in values:
-        series = regular_factor_series(c, x, 8)
+        series = regular_factor_series(c, linear_powers((1,), 8, {}))
         # one polynomial in x, cut above degree 8
         assert all(0 <= n <= 8 for (n,) in series.terms), c
         expected = [1 / (1 - c)]
@@ -183,3 +187,81 @@ def test_graded_pieces_keep_integer_exponents():
     keys = [e for piece in s.data.values() for p in (piece.num, piece.den) for e in p.terms]
     assert len(s.data) == 5 and keys
     assert all(type(x) is int for e in keys for x in e)
+
+
+EXPONENTS = [-1, 0, 1, 2, Fraction(1, 2), Fraction(-1, 3)]
+SCALARS = [1, -1, 2, Fraction(1, 3), Fraction(-5, 2)]
+MULTIPLES = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+
+
+def _draw_expansion(rng):
+    """(character, order, kinds) for the differential test.  Poles come from
+    two primitive forms at random multiples, so terms repeat and share
+    forms; a twisted part is the Galois orbit, over the units k mod n, of one
+    term whose roots of unity are powers of zeta_n^k (one member may be left
+    out, which makes the sum non-rational)."""
+    nvars = rng.randint(1, 4)
+    order = rng.randint(0, 6 if nvars < 3 else 3)
+    forms = [tuple(rng.randint(-2, 2) or 1 for _ in range(nvars)) for _ in range(2)]
+
+    def exponent():
+        return tuple(rng.choice(EXPONENTS) for _ in range(nvars))
+
+    def poles():
+        return [
+            Factor(Cyc.rational(1), tuple(s * x for x in rng.choice(forms)))
+            for s in rng.sample(MULTIPLES, rng.randint(0, 2))
+        ]
+
+    terms = [
+        (LaurentPoly(nvars, {exponent(): rng.choice(SCALARS) for _ in range(rng.randint(1, 2))}), poles())
+        for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.5:
+        n = rng.choice([2, 3, 4, 5, 6])
+        q, j, a = exponent(), rng.randrange(n), rng.choice(SCALARS)
+        mus = [exponent() for _ in range(rng.randint(1, 2 if nvars < 3 else 1))]
+        mus = [mu if any(mu) else (1,) * nvars for mu in mus]
+        pole, units = poles(), [k for k in range(1, n) if gcd(k, n) == 1]
+        if n > 2 and rng.random() < 0.2:
+            units = units[1:]
+        for k in units:
+            zeta = Cyc.root_of_unity(Fraction(k, n))
+            num = LaurentPoly.monomial(nvars, q, zeta**j * a)
+            terms.append((num, pole + [Factor(zeta, mu) for mu in mus]))
+    x = RationalCharacter(nvars, terms)
+    dens = [f for _, den in x.terms for f in den]
+    kinds = {
+        "fractional": any(v.denominator > 1 for num, _ in x.terms for q in num.terms for v in map(Fraction, q))
+        or any(v.denominator > 1 for f in dens for v in map(Fraction, f.mu)),
+        "shared forms": len({f.mu for f in dens if f.c == 1}) > len({primitive_form(f.mu)[1] for f in dens if f.c == 1}),
+        "galois pairs": any(not f.c.is_rational() for f in dens),
+    }
+    return x, order, kinds
+
+
+def test_integer_expansion_agrees_with_cyc_reference():
+    # the integer kernel against the expansion whose every coefficient is a
+    # Cyc: the same series piece by piece and in print, and the same refusal
+    # of a non-rational group
+    rng = random.Random(26)
+    seen = Counter()
+    with Budget("series-diff", "integer expansion against the Cyc reference", 8):
+        for _ in range(100):
+            x, order, kinds = _draw_expansion(rng)
+            try:
+                reference = series_reference.expand_rational(x, order)
+            except AssertionError:
+                with pytest.raises(AssertionError, match="non-rational"):
+                    expand_rational(x, order)
+                seen["non-rational"] += 1
+                continue
+            got = expand_rational(x, order)
+            assert got.first_mismatch(reference) is None and reference.first_mismatch(got) is None
+            assert str(got) == str(reference)
+            seen.update(k for k, v in kinds.items() if v)
+            seen["order 6"] += order == 6
+            seen["4 variables"] += x.nvars == 4
+    # no kind of draw passes vacuously
+    assert min(seen[k] for k in ("fractional", "shared forms", "galois pairs")) >= 20, seen
+    assert min(seen[k] for k in ("non-rational", "order 6", "4 variables")) >= 5, seen

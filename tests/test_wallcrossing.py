@@ -90,7 +90,8 @@ def test_one_sided_wall():
     from torickit.wallcrossing import WallCrossing
 
     data = GITData.make(1, [(1,), (2,)], ["1"])
-    wc = WallCrossing(data, (Fraction(1),), (Fraction(-1),), (Fraction(0),), (1,), False)
+    cells = minimal_anticones(data).minimal
+    wc = WallCrossing(data, (Fraction(1),), (Fraction(-1),), (Fraction(0),), (1,), False, cells, cells)
     with pytest.raises(OneSidedWallError):
         partition_M(wc)
 
@@ -232,9 +233,9 @@ def test_extend_reduces_to_base_quotients():
 
 def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     # make_wall_crossing: the two sides, then the one crossing point; extend:
-    # the three extended conditions, then the two base sides of the
-    # reduction check; reading the chambers (the CLI's wallcross): none.
-    # Within each call no condition is passed over twice.
+    # the three extended conditions (the reduction check reads the base
+    # sides' cells from the crossing); reading the chambers (the CLI's
+    # wallcross): none.  Within each call no condition is passed over twice.
     from torickit import gitdata
 
     calls = []
@@ -249,8 +250,8 @@ def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     assert len(calls) == len(set(calls)) == 3
     calls.clear()
     ext = extend(wc)
-    assert len(calls) == len(set(calls)) == 5
-    assert set(calls) == {ext.data_plus, ext.data_minus, ext.data_tilde, wc.data_plus, wc.data_minus}
+    assert len(calls) == len(set(calls)) == 3
+    assert set(calls) == {ext.data_plus, ext.data_minus, ext.data_tilde}
     calls.clear()
     ext.to_json_dict()
     assert calls == []
