@@ -53,7 +53,7 @@ def format_exponent(q: Exponent) -> str:
     return "e[" + ",".join(format_fraction(Fraction(x)) for x in q) + "]"
 
 
-def integer_coefficients(p: "LaurentPoly"):
+def _integer_coefficients(p: "LaurentPoly"):
     """(terms, den): p's coefficients as integer numerators over the lcm of
     their denominators, or None when one of them is not rational."""
     values = [c.coeffs[0] for c in p.terms.values() if c.n == 1]
@@ -63,26 +63,18 @@ def integer_coefficients(p: "LaurentPoly"):
     return {q: v.numerator * (den // v.denominator) for q, v in zip(p.terms, values)}, den
 
 
-def _rows(a: dict, b: dict, bound):
-    """(q1, x, row) for each term x*e^q1 of ``a``: row lists the terms of ``b``
-    to multiply it by, all of them, or under a bound the prefix of the terms
-    sorted by degree whose product with it has total degree <= ``bound``."""
-    terms = list(b.items())
-    if bound is None:
-        return [(q1, x, terms) for q1, x in a.items()]
-    terms.sort(key=lambda t: sum(t[0]))
-    degrees = [sum(q) for q, _ in terms]
-    return [(q1, x, terms[: bisect_right(degrees, bound - sum(q1))]) for q1, x in a.items()]
-
-
 def mul_terms(a: dict, b: dict, bound=None) -> dict:
-    """The product of two term dicts with integer coefficients; under a
-    ``bound``, only its monomials of total degree at most ``bound``, and no
-    pair of terms above it is multiplied.  A coefficient that cancels stays
-    as a 0 entry, for the caller to drop where it builds its result."""
+    """The product of two term dicts; under a ``bound``, only its monomials of
+    total degree at most ``bound``: each term of ``a`` meets only the prefix
+    of ``b``'s terms, sorted by degree, that stays under it.  A coefficient
+    that cancels stays as a 0 entry, for the caller to drop."""
+    terms = list(b.items())
+    if bound is not None:
+        terms.sort(key=lambda t: sum(t[0]))
+        degrees = [sum(q) for q, _ in terms]
     acc = defaultdict(int)
-    for q1, x, row in _rows(a, b, bound):
-        for q2, y in row:
+    for q1, x in a.items():
+        for q2, y in terms if bound is None else terms[: bisect_right(degrees, bound - sum(q1))]:
             acc[exp_add(q1, q2)] += x * y
     return acc
 
@@ -160,23 +152,13 @@ class LaurentPoly:
             }
         else:
             self._check(other)
-            a, b = integer_coefficients(self), integer_coefficients(other)
+            a, b = _integer_coefficients(self), _integer_coefficients(other)
             if a and b:
                 # rational operands: integer products over one denominator
                 den = a[1] * b[1]
                 terms = {q: Cyc.rational(Fraction(v, den)) for q, v in mul_terms(a[0], b[0], bound).items() if v}
             else:
-                terms = {}
-                for q1, c1, row in _rows(self.terms, other.terms, bound):
-                    for q2, c2 in row:
-                        q = exp_add(q1, q2)
-                        c = c1 * c2
-                        acc = terms.get(q)
-                        s = c if acc is None else acc + c
-                        if s:
-                            terms[q] = s
-                        elif acc is not None:
-                            del terms[q]
+                terms = {q: c for q, c in mul_terms(self.terms, other.terms, bound).items() if c}
         out = LaurentPoly.__new__(LaurentPoly)
         out.nvars, out.terms = self.nvars, terms
         return out

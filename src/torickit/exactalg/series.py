@@ -8,27 +8,27 @@ degree arise from factors (1 - e^{mu}) which contribute a simple pole
 expansion, the product of the distinct primitive pole forms at their
 largest multiplicity.
 
-The expansion runs in integers: each rational truncated series is a dict
-of integer numerators over one integer denominator, every power series is
-read off the integer powers of its linear form, and products go through
-``laurent.mul_terms``.  Only terms carrying a root of unity are expanded in
-``Cyc``, and their sum is cleared to integers once it is rational.  Graded
-pieces are quotients of ``LaurentPoly`` values in lambda with integer
-exponents and ``Cyc`` coefficients: the sparse polynomial type of the
-characters, whose exponents in e^lambda may be fractional, read here as
-monomials lambda^e.
+The expansion runs in integers: each truncated series is a dict of
+integer numerators with one rational scale, every power series is read
+off the integer powers of its linear form, and products go through
+``laurent.mul_terms``.  A root of unity only multiplies scalars: the terms
+sharing their poles sum one scalar per monomial and pattern of powers of
+linear forms, and each sum must be rational.  Graded pieces are quotients
+of ``LaurentPoly`` values in lambda with integer exponents and ``Cyc``
+coefficients: the sparse polynomial type of the characters, whose
+exponents in e^lambda may be fractional, read here as monomials lambda^e.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
 from .cyclotomic import Cyc
 from .intlinalg import primitive_form
-from .laurent import LaurentPoly, integer_coefficients, mul_terms
+from .laurent import LaurentPoly, mul_terms
 from .ratchar import RationalCharacter
 
 
@@ -121,16 +121,16 @@ class GradedSeries:
 
     @staticmethod
     def split(nvars: int, num, den: dict, order: int) -> "GradedSeries":
-        """num/den for num = (terms, d), integer numerators over one integer
-        denominator, and den a homogeneous integer term dict, by degree: a
-        monomial of degree e in num belongs to the piece of degree
-        e - deg(den).  The pieces' coefficients become ``Cyc`` here."""
-        terms, d = num
+        """num/den for num = (terms, x), x times an integer term dict, and den
+        a homogeneous integer term dict, by degree: a monomial of degree e in
+        num belongs to the piece of degree e - deg(den).  The pieces'
+        coefficients become ``Cyc`` here."""
+        terms, x = num
         shift = sum(next(iter(den)))
         pieces = {}
         for e, v in terms.items():
             if v:
-                pieces.setdefault(sum(e) - shift, {})[e] = Fraction(v, d)
+                pieces.setdefault(sum(e) - shift, {})[e] = v * x
         den = LaurentPoly(nvars, den)
         return GradedSeries(nvars, order, {n: RatFun(LaurentPoly(nvars, t), den) for n, t in pieces.items()})
 
@@ -191,9 +191,8 @@ def bernoulli_coefficient(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # truncated series: after lambda -> t*lambda every series here has a t^n part
 # homogeneous of degree n in lambda, so one polynomial cut above total
-# degree nmax holds it.  A rational one is a pair (terms, den) of integer
-# numerators over one integer denominator: lambda^e has coefficient
-# terms[e]/den.
+# degree nmax holds it, as a pair (terms, x) of integer numerators and one
+# rational scale: lambda^e has coefficient x*terms[e].
 
 
 def linear_powers(mu, nmax: int, known: dict):
@@ -210,44 +209,68 @@ def linear_powers(mu, nmax: int, known: dict):
     return L, powers[: nmax + 1]
 
 
-def power_series(powers, coefficient, scale=Fraction(1)):
-    """sum_n a_n (mu.lambda)^n for a_n = scale*coefficient(n) and n up to the
-    last of mu's ``linear_powers``, as (terms, den).  The monomials of p_n
-    have degree n, so none collide: p_n's coefficient m gives m*a_n/L^n."""
+def _sum(parts):
+    """The sum of (terms, x) series, over the lcm of the x's denominators;
+    the total is rescaled when a part brings a new factor."""
+    total, den = defaultdict(int), 1
+    for terms, x in parts:
+        if den % x.denominator:
+            grow = lcm(den, x.denominator) // den
+            total, den = defaultdict(int, {e: v * grow for e, v in total.items()}), den * grow
+        k = x.numerator * (den // x.denominator)
+        for e, v in terms.items():
+            total[e] += v * k
+    return total, Fraction(1, den)
+
+
+def _times(a, b, bound=None):
+    """The product of two (terms, x) series, cut above total degree ``bound``."""
+    return mul_terms(a[0], b[0], bound), a[1] * b[1]
+
+
+def power_series(powers, coefficient):
+    """sum_n a_n (mu.lambda)^n for a_n = coefficient(n) and n up to the last of
+    mu's ``linear_powers``: p_n's coefficient m gives m*a_n/L^n."""
     L, ps = powers
-    top = len(ps) - 1
-    a = [coefficient(n) for n in range(top + 1)]
-    den = lcm(*(x.denominator for x in a))
-    k = [x.numerator * (den // x.denominator) * L ** (top - n) * scale.numerator for n, x in enumerate(a)]
-    return {e: m * kn for kn, p in zip(k, ps) if kn for e, m in p.items()}, den * L**top * scale.denominator
+    a = [coefficient(n) / L**n for n in range(len(ps))]
+    return _sum((p, x) for p, x in zip(ps, a) if x)
 
 
-def _add(a, b):
-    """The sum of two (terms, den) series."""
-    (ta, da), (tb, db) = a, b
-    den = lcm(da, db)
-    terms = {e: v * (den // da) for e, v in ta.items()}
-    sb = den // db
-    for e, v in tb.items():
-        terms[e] = terms.get(e, 0) + v * sb
-    return terms, den
-
-
-def regular_factor_series(c: Cyc, powers) -> LaurentPoly:
-    """Series of 1/(1 - c*e^{t*mu.lambda}) for c != 1 (regular at t = 0), up
-    to the last of mu's ``linear_powers``.
-
-    Its t^n coefficient is a_n(c) * (mu.lambda)^n, a scalar times a power of
-    the form: (1 - c*e^x) * sum_n a_n x^n = 1 gives a_0 = 1/(1 - c) and
-    a_n = c/(1 - c) * sum_{k=1..n} a_{n-k}/k!.
-    """
-    L, ps = powers
+def regular_factor_series(c: Cyc, nmax: int) -> list:
+    """The coefficients a_0..a_nmax of 1/(1 - c*e^x) = sum_n a_n x^n for
+    c != 1, which is regular at x = 0: (1 - c*e^x) * sum_n a_n x^n = 1 gives
+    a_0 = 1/(1 - c) and a_n = c/(1 - c) * sum_{k=1..n} a_{n-k}/k!."""
     a = [(Cyc.rational(1) - c).inverse()]
     ratio = c * a[0]
-    for n in range(1, len(ps)):
+    for n in range(1, nmax + 1):
         a.append(ratio * sum((a[n - k] * exp_coefficient(k) for k in range(1, n + 1)), Cyc.rational(0)))
-    nvars = len(next(iter(ps[0])))
-    return LaurentPoly(nvars, {e: a[n] * Fraction(m, L**n) for n, p in enumerate(ps) for e, m in p.items()})
+    return a
+
+
+def _scalar_terms(regulars, nmax: int, known: dict) -> list:
+    """The terms of prod_f 1/(1 - c_f*e^{mu_f.lambda}) of total degree at
+    most nmax, as (pattern, scalar, degree left): a scalar prod a_n(c_f)/L^n
+    times prod (nu.lambda)^n over the pattern's sorted (mu, n), n > 0 and
+    equal mu merged (``linear_powers``).  Degree tuples are enumerated
+    directly, carrying the running scalar; a zero a_n ends its branch."""
+    terms = [((), Cyc.rational(1), nmax)]
+    for f in sorted(regulars, key=lambda f: f.mu):
+        L = linear_powers(f.mu, 0, known)[0]
+        a = [x * Fraction(1, L**n) for n, x in enumerate(regular_factor_series(f.c, nmax if any(f.mu) else 0))]
+        grown = []
+        for p, s, left in terms:
+            head, k = (p[:-1], p[-1][1]) if p and p[-1][0] == f.mu else (p, 0)
+            grown += [(head + ((f.mu, k + n),) if n else p, s * x, left - n) for n, x in enumerate(a[: left + 1]) if x]
+        terms = grown
+    return terms
+
+
+def _times_powers(terms: dict, pattern, known: dict) -> dict:
+    """terms times prod (nu.lambda)^n over a pattern's (mu, n), one power at
+    a time, with nu as in ``linear_powers``."""
+    for mu, n in pattern:
+        terms = mul_terms(terms, linear_powers(mu, n, known)[1][n])
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +284,12 @@ def expand_rational(x, order: int) -> GradedSeries:
     each 1/(mu.lambda) times a Bernoulli series; the others have c != 1 and
     are regular at t = 0.  Terms with the same poles are expanded together,
     each series cut above total degree ``order`` plus their number of poles.
-    A term with rational coefficients and no regular factor adds the series
-    of its monomials e^{q.lambda} in integers.  The other terms multiply
-    those series by their regular factors in ``Cyc``; their sum must be
-    rational (AssertionError otherwise), and is then cleared to integers
-    once.  The group's sum is multiplied by its pole series in integers.
+    A term's regular factors expand as scalars times powers of their forms
+    (``_scalar_terms``).  Over the group one scalar is summed per numerator
+    exponent q and pattern of powers, and each sum must be rational
+    (AssertionError otherwise), so no root of unity meets a polynomial.
+    Then, in integers, each q's scalars times their powers are multiplied
+    by the series of e^{q.lambda}, and the group's sum by its pole series.
     Every power series is read off the integer powers of its linear form,
     built once per form and expansion (``linear_powers``).  Over one
     denominator per expansion, the product of the distinct primitive pole
@@ -278,45 +302,34 @@ def expand_rational(x, order: int) -> GradedSeries:
         x = RationalCharacter.from_poly(x)
     nvars = x.nvars
     known = {}
+    one = {(0,) * nvars: 1}
     groups = {}
     for num, den in x.terms:
         poles = tuple(f.mu for f in den if f.c == 1)
         groups.setdefault(poles, []).append((num, [f for f in den if f.c != 1]))
-    expanded = []
+    expanded, common = [], Counter()
     for poles, members in groups.items():
         nmax = order + len(poles)
-        series = ({}, 1)
-        twisted = LaurentPoly.zero(nvars)
+        scalars = defaultdict(Counter)  # q -> pattern -> summed scalar
         for num, regulars in members:
-            if not regulars and num.all_rational():
-                for q, c in num.terms.items():
-                    series = _add(series, power_series(linear_powers(q, nmax, known), exp_coefficient, c.coeffs[0]))
-                continue
-            part = LaurentPoly.zero(nvars)
+            terms = _scalar_terms(regulars, nmax, known)
             for q, c in num.terms.items():
-                terms, d = power_series(linear_powers(q, nmax, known), exp_coefficient)
-                part = part + LaurentPoly(nvars, {e: Fraction(v, d) for e, v in terms.items()}) * c
-            for f in regulars:
-                part = part.mul(regular_factor_series(f.c, linear_powers(f.mu, nmax, known)), nmax)
-            twisted = twisted + part
-        cleared = integer_coefficients(twisted)
-        if cleared is None:
-            raise AssertionError("the terms with poles %s sum to a non-rational series" % (list(poles),))
-        series = _add(series, cleared)
+                for pattern, s, _ in terms:
+                    scalars[q][pattern] += c * s
+        if not all(v.is_rational() for sums in scalars.values() for v in sums.values()):
+            raise AssertionError("the terms with poles %s sum to a non-rational scalar" % (list(poles),))
+        parts = []
+        for q, sums in scalars.items():
+            part = _sum((_times_powers(one, p, known), v.coeffs[0]) for p, v in sums.items() if v)
+            parts.append(_times(part, power_series(linear_powers(q, nmax, known), exp_coefficient), nmax))
+        series = _sum(parts)
         for mu in poles:
-            terms, d = power_series(linear_powers(mu, nmax, known), bernoulli_coefficient)
-            series = mul_terms(series[0], terms, nmax), series[1] * d
-        forms = [primitive_form(mu) for mu in poles]
-        expanded.append((series, prod(-1 / s for s, _ in forms), Counter(f for _, f in forms)))
-    common = Counter()
-    for *_, forms in expanded:
-        common |= forms
-    den = {(0,) * nvars: 1}
-    for f, k in common.items():
-        den = mul_terms(den, linear_powers(f, k, known)[1][k])
-    total = ({}, 1)
-    for (terms, d), scale, forms in expanded:
-        for f, j in (common - forms).items():
-            terms = mul_terms(terms, linear_powers(f, j, known)[1][j])
-        total = _add(total, ({e: v * scale.numerator for e, v in terms.items()}, d * scale.denominator))
-    return GradedSeries.split(nvars, total, den, order)
+            series = _times(series, power_series(linear_powers(mu, nmax, known), bernoulli_coefficient), nmax)
+        primitive = [primitive_form(mu) for mu in poles]
+        pole_forms = Counter(f for _, f in primitive)
+        expanded.append((series, prod(-1 / s for s, _ in primitive), pole_forms))
+        common |= pole_forms
+    # a primitive form has L = 1, so nu is the form itself
+    den = _times_powers(one, common.items(), known)
+    parts = ((_times_powers(terms, (common - f).items(), known), k * scale) for (terms, k), scale, f in expanded)
+    return GradedSeries.split(nvars, _sum(parts), den, order)

@@ -342,8 +342,8 @@ def hrr_rhs(data: GITData, E: EquivClass, order: int, subtorus=None) -> GradedSe
     geometric factor for the others, over the Euler class of the directions
     g fixes.  As Td(x)/x = 1/(1 - e^{w.lambda}) at the Chern root
     x = -w.lambda, this expands restrict(E, p, g)/|G| over prod_j
-    (1 - zeta_{g,j} e^{w_j}) (``_twisted_sum``), summing the sectors with
-    the same poles before the pole series multiplies them.
+    (1 - zeta_{g,j} e^{w_j}) (``_twisted_sum``).  The sectors with the same
+    poles sum their roots of unity as scalars before any polynomial product.
     """
     _check_shape(data, E)
     return expand_rational(_twisted_sum(fixed_point_list(data, subtorus), E, subtorus), order)
@@ -351,9 +351,9 @@ def hrr_rhs(data: GITData, E: EquivClass, order: int, subtorus=None) -> GradedSe
 
 def _twisted_sum(fps, E: EquivClass, subtorus) -> RationalCharacter:
     """One fraction per fixed point and isotropy element.  The sectors fixing
-    the same directions share their poles; g -> g^k, k prime to |G|, sends
-    each to its Galois conjugate, so ``expand_rational`` sums them to a
-    rational series."""
+    the same directions share their poles; g -> g^k, k prime to |G|, permutes
+    them, fixes every exponent and weight and conjugates each root of unity,
+    so each scalar ``expand_rational`` sums over them is rational."""
     terms = []
     for fp in fps:
         scale = Fraction(1, fp.group_order)

@@ -149,6 +149,10 @@ class ExtendedGIT:
     chamber_plus: Chamber
     chamber_minus: Chamber
     chamber_tilde: Chamber
+    # the minimal anticones of the three conditions, as read for the chambers
+    cells_plus: tuple = field(compare=False)
+    cells_minus: tuple = field(compare=False)
+    cells_tilde: tuple = field(compare=False)
 
     @property
     def data_plus(self) -> GITData:
@@ -250,12 +254,12 @@ def extend(wc: WallCrossing) -> ExtendedGIT:
 
     # The sides are off the walls: each of their wall cells holds m + 1 (the
     # other characters end in <= 0, omega in 1) over a base side's wall cell.
-    cells_p, cells_m = minimal_anticones(data).minimal, minimal_anticones(data_m).minimal
-    chambers = [chamber_of_fixed_points(d, c) for d, c in ((data, cells_p), (data_m, cells_m), (data_t, report.cells))]
-    ext = ExtendedGIT(wc, data_t, omega_p, omega_m, omega_t, *chambers)
+    cells = minimal_anticones(data).minimal, minimal_anticones(data_m).minimal, report.cells
+    chambers = [chamber_of_fixed_points(d, c) for d, c in zip((data, data_m, data_t), cells)]
+    ext = ExtendedGIT(wc, data_t, omega_p, omega_m, omega_t, *chambers, *cells)
     _verify_contraction(ext, "+")
     _verify_contraction(ext, "-")
-    _verify_reductions(ext, cells_p, cells_m)
+    _verify_reductions(ext, ext.cells_plus, ext.cells_minus)
     return ext
 
 

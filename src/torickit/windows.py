@@ -138,13 +138,9 @@ def seven_loci(ext: ExtendedGIT) -> SevenLoci:
     v_minus = carve([h | extra for h in minus])
     v_tilde = carve([h | k for h in plus for k in minus])
 
-    # the chamber loci must coincide with honest semistable loci
-    for locus, data in (
-        (v_plus, ext.data_plus),
-        (v_minus, ext.data_minus),
-        (v_tilde, ext.data_tilde),
-    ):
-        if minimal_anticones(data) != locus:
+    # the chamber loci must coincide with honest semistable loci, as ``extend`` read them
+    for locus, cells in ((v_plus, ext.cells_plus), (v_minus, ext.cells_minus), (v_tilde, ext.cells_tilde)):
+        if SemistableLocus(m + 1, cells) != locus:
             raise AssertionError("locus table disagrees with the chamber semistable locus")
     return SevenLoci(v0, v_plus, v_minus, v_tilde, v_plus_minus, v_plus_tilde, v_minus_tilde)
 

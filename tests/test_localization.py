@@ -534,6 +534,57 @@ def test_twisted_hrr_rationality_guard_fires(monkeypatch, capsys, tmp_path):
     assert "internal error:" in capsys.readouterr().err
 
 
+def test_hrr_check_d12_at_order_6_within_budget():
+    # |G| = 24 at the fixed point {2,3}: the sectors sharing their poles sum
+    # their roots of unity as scalars before any polynomial product
+    with Budget("D(12) hrr order 6", "twisted-sector index theorem at |G| = 24, order 6", 1.5):
+        report = hrr_check(D(12), EquivClass.line(2, 4, (0, 0)), 6)
+    assert report.equal
+
+
+def test_hrr_rhs_multiplies_no_polynomials(monkeypatch):
+    # the twisted sectors' roots of unity never meet a polynomial, so the
+    # expansion makes no LaurentPoly x LaurentPoly product
+    products = []
+    mul = LaurentPoly.__mul__
+
+    def counting(self, other, bound=None):
+        if isinstance(other, LaurentPoly):
+            products.append((len(self.terms), len(other.terms)))
+        return mul(self, other, bound)
+
+    for name in ("__mul__", "__rmul__", "mul"):
+        monkeypatch.setattr(LaurentPoly, name, counting)
+    data, E = twisted_hrr_cases()["D(3) O(0,0)"]
+    rhs = hrr_rhs(data, E, 4)
+    assert rhs.data and products == []
+
+
+def test_hrr_check_on_gerbes():
+    # P(3,6) and P(3,6,9) have a generic mu_3 stabiliser.  On P(3,6) the
+    # sectors of the generic mu_3 carry the numerators 1, z3 and z3^2 of
+    # O(1) over the same factors as the identity's, so chi(O(1)) = 0
+    P36 = GITData.make(1, [(3,), (6,)], ["1"])
+    report = hrr_check(P36, O(P36, 1), 4)
+    assert report.equal and not report.lhs.data and not report.rhs.data
+    # control: the identity sectors alone do not expand to 0
+    fps = fixed_point_list(P36)
+    assert all(not any(fp.group_elements[0]) for fp in fps)
+    terms = [
+        (
+            restrict(O(P36, 1), fp, 0) * Fraction(1, fp.group_order),
+            [Factor(Cyc.rational(1), fp.tangent_weights[j]) for j in fp.tangent_indices],
+        )
+        for fp in fps
+    ]
+    assert expand_rational(RationalCharacter(2, terms), 4).data
+    # nonzero classes, the second with sectors whose z3 numerators meet
+    # regular factors
+    for data, u in ((P36, 3), (GITData.make(1, [(3,), (6,), (9,)], ["1"]), 6)):
+        report = hrr_check(data, O(data, u), 4)
+        assert report.equal and report.rhs.data, (data, u)
+
+
 def hrr_order_cases():
     """The benchmark's hrr-order battery, at the orders where its graded
     pieces are products of many-term polynomials."""

@@ -15,6 +15,7 @@ from torickit.wallcrossing import (
     partition_M,
     pullback_class,
 )
+from torickit.windows import seven_loci
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])
 KP2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
@@ -235,7 +236,9 @@ def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     # make_wall_crossing: the two sides, then the one crossing point; extend:
     # the three extended conditions (the reduction check reads the base
     # sides' cells from the crossing); reading the chambers (the CLI's
-    # wallcross): none.  Within each call no condition is passed over twice.
+    # wallcross): none; seven_loci: the base at omega_zero, since its check
+    # reads the three extended conditions' cells from extend.  Within each
+    # call no condition is passed over twice.
     from torickit import gitdata
 
     calls = []
@@ -255,6 +258,8 @@ def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     calls.clear()
     ext.to_json_dict()
     assert calls == []
+    seven_loci(ext)
+    assert calls == [wc.base.with_omega(wc.omega_zero)]
 
 
 def test_extended_conifold_has_four_fixed_points():
