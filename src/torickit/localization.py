@@ -253,7 +253,18 @@ def untwisted_trace(E: EquivClass, fp: FixedPointData) -> LaurentPoly:
 
 def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
     """Validate the data and return the data of every fixed point, in the
-    order of the sorted anticones.
+    order of the sorted anticones (``fixed_points_of_cells``).  A caller
+    that already validated the data and holds its cells, as a wall crossing
+    does for its chambers, reads that function and passes over no cells."""
+    report = validate(data)
+    if not report.passed:
+        raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
+    return fixed_points_of_cells(data, report.cells, subtorus)
+
+
+def fixed_points_of_cells(data: GITData, cells, subtorus=None) -> list[FixedPointData]:
+    """The data of the fixed point at each of ``cells``, in their order: the
+    wall cells of valid data off the walls, as ``validate`` reports them.
 
     With a ``subtorus`` the restricted tangent weights at every fixed point
     must pass the strict-convexity test, which is what rules out
@@ -261,10 +272,7 @@ def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
     torus the test always passes: w_j is 1 at coordinate j and 0 at the
     other tangent coordinates, so their sum is positive on every w_j.
     """
-    report = validate(data)
-    if not report.passed:
-        raise InputError("invalid GIT data: %s" % "; ".join(report.failures))
-    fps = [fixed_point_data(data, d) for d in report.cells]
+    fps = [fixed_point_data(data, d) for d in cells]
     if subtorus is not None:
         for fp in fps:
             if not weights_convex([exp_apply(subtorus, fp.tangent_weights[j]) for j in fp.tangent_indices]):
@@ -272,6 +280,11 @@ def fixed_point_list(data: GITData, subtorus=None) -> list[FixedPointData]:
                     "tangent weights at fixed point {%s} are not strictly convex" % ",".join(map(str, fp.delta))
                 )
     return fps
+
+
+def vanishes_on(fps, E: EquivClass) -> bool:
+    """Does E restrict to zero at every fixed point and isotropy element?"""
+    return all(untwisted_trace(E, fp).is_zero() for fp in fps)
 
 
 def _check_shape(data: GITData, E: EquivClass):
@@ -291,13 +304,15 @@ def euler_characteristic(data: GITData, E: EquivClass, subtorus=None) -> Rationa
     prod_j (1 + e^{w_j} + ... + e^{(m_j-1) w_j}), over prod_j (1 - e^{m_j w_j}).
 
     ``subtorus`` restricts the answer to a subtorus (exponents q become
-    A^T q) once the tangent weights pass the test of ``fixed_point_list``.
+    A^T q) once the tangent weights pass the test of ``fixed_points_of_cells``.
     """
     _check_shape(data, E)
-    return _localization_sum(fixed_point_list(data, subtorus), E, subtorus)
+    return localization_sum(fixed_point_list(data, subtorus), E, subtorus)
 
 
-def _localization_sum(fps, E: EquivClass, subtorus) -> RationalCharacter:
+def localization_sum(fps, E: EquivClass, subtorus=None) -> RationalCharacter:
+    """``euler_characteristic`` over a list of fixed points that the caller
+    holds; with a ``subtorus``, the list must have passed its convexity test."""
     terms = []
     for fp in fps:
         weights = [fp.tangent_weights[j] for j in fp.tangent_indices]
@@ -399,7 +414,7 @@ def hrr_check(data: GITData, E: EquivClass, order: int, subtorus=None) -> HRRRep
     twisted sectors; both sides read one fixed-point list."""
     _check_shape(data, E)
     fps = fixed_point_list(data, subtorus)
-    lhs = expand_rational(_localization_sum(fps, E, subtorus), order)
+    lhs = expand_rational(localization_sum(fps, E, subtorus), order)
     rhs = expand_rational(_twisted_sum(fps, E, subtorus), order)
     mismatch = lhs.first_mismatch(rhs)
     return HRRReport(lhs, rhs, mismatch is None, mismatch)

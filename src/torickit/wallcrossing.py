@@ -7,16 +7,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError
+from .errors import InputError, NotAdjacentError, OnWallError, OneSidedWallError, WindowLiftError
 from .exactalg import kernel_basis, oriented_primitive_vector, parse_fraction
 from .gitdata import Chamber, GITData, chamber_of_fixed_points, is_on_wall, minimal_anticones, validate
-from .localization import EquivClass
+from .localization import EquivClass, FixedPointData, fixed_points_of_cells, vanishes_on
 
 
 @dataclass(frozen=True)
 class WallCrossing:
-    """Two adjacent chambers separated by one wall, with its primitive normal."""
+    """Two adjacent chambers separated by one wall, with its primitive normal.
+
+    The two sides' data, their fixed points and the minus side's Koszul
+    relation are computed on first read and then held, so checks that sweep
+    many classes across one crossing compute them once.
+    """
 
     base: GITData  # carries omega_plus as its stability condition
     omega_plus: tuple
@@ -28,13 +34,36 @@ class WallCrossing:
     cells_plus: tuple = field(compare=False)
     cells_minus: tuple = field(compare=False)
 
-    @property
+    @cached_property
     def data_plus(self) -> GITData:
         return self.base.with_omega(self.omega_plus)
 
-    @property
+    @cached_property
     def data_minus(self) -> GITData:
         return self.base.with_omega(self.omega_minus)
+
+    @cached_property
+    def fixed_points_plus(self) -> tuple[FixedPointData, ...]:
+        """The plus side's fixed points, from the cells ``make_wall_crossing``
+        validated, in ``fixed_point_list``'s order."""
+        return tuple(fixed_points_of_cells(self.data_plus, self.cells_plus))
+
+    @cached_property
+    def fixed_points_minus(self) -> tuple[FixedPointData, ...]:
+        """The minus side's fixed points, as ``fixed_points_plus``."""
+        return tuple(fixed_points_of_cells(self.data_minus, self.cells_minus))
+
+    @cached_property
+    def koszul_relation(self) -> EquivClass:
+        """prod (1 - x) over the ``unstable_koszul_classes`` x, checked to
+        restrict to zero at every minus-side fixed point."""
+        one = EquivClass.line(self.base.r, self.base.m, (0,) * self.base.r)
+        relation = one
+        for x in unstable_koszul_classes(self):
+            relation = relation.tensor(one - x)
+        if not vanishes_on(self.fixed_points_minus, relation):
+            raise WindowLiftError("Koszul relation does not vanish on the minus side")
+        return relation
 
     def pairing(self, i: int) -> int:
         """D_i . e for the i-th character (1-based)."""
@@ -129,6 +158,19 @@ def partition_M(wc: WallCrossing):
     return m_plus, m_zero, m_minus
 
 
+def unstable_koszul_classes(wc: WallCrossing) -> list[EquivClass]:
+    """The classes (one per coordinate vanishing on the removed stratum)
+    whose Koszul product restricts to zero on the minus-side quotient."""
+    _, _, m_minus = partition_M(wc)
+    r, m = wc.base.r, wc.base.m
+    out = []
+    for i in sorted(m_minus):
+        u = tuple(-x for x in wc.base.character(i))
+        s = tuple(1 if j == i else 0 for j in range(1, m + 1))
+        out.append(EquivClass.line(r, m, u, s))
+    return out
+
+
 def eta_invariants(wc: WallCrossing) -> tuple[int, int]:
     """Widths of the two grade-restriction windows at this wall."""
     m_plus, _, m_minus = partition_M(wc)
@@ -139,7 +181,11 @@ def eta_invariants(wc: WallCrossing) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class ExtendedGIT:
-    """Rank-(r+1) data on m+1 coordinates realizing both sides and the blow-up."""
+    """Rank-(r+1) data on m+1 coordinates realizing both sides and the blow-up.
+
+    As on ``WallCrossing``, the side data and the resolution's fixed points
+    are computed on first read and then held.
+    """
 
     wc: WallCrossing
     data: GITData  # carries omega_tilde (the resolution chamber) as stability
@@ -154,17 +200,32 @@ class ExtendedGIT:
     cells_minus: tuple = field(compare=False)
     cells_tilde: tuple = field(compare=False)
 
-    @property
+    @cached_property
     def data_plus(self) -> GITData:
         return self.data.with_omega(self.omega_plus)
 
-    @property
+    @cached_property
     def data_minus(self) -> GITData:
         return self.data.with_omega(self.omega_minus)
 
     @property
     def data_tilde(self) -> GITData:
         return self.data
+
+    @property
+    def drop(self) -> list[list[int]]:
+        """The base torus inside the extended one, as a subtorus: drop the
+        extra variable.  The contractions are equivariant for its inclusion,
+        so on it the resolution's characters compare with the sides'."""
+        m = self.wc.base.m
+        return [[int(i == j) for j in range(m)] for i in range(m)] + [[0] * m]
+
+    @cached_property
+    def fixed_points_tilde(self) -> tuple[FixedPointData, ...]:
+        """The resolution's fixed points, from the cells ``extend`` validated,
+        in ``fixed_point_list``'s order, with their tangent weights checked
+        strictly convex on the base torus (``drop``)."""
+        return tuple(fixed_points_of_cells(self.data_tilde, self.cells_tilde, self.drop))
 
     def exponent_twists(self, side: str) -> tuple[int, ...]:
         """Per-coordinate powers of the extra coordinate used by the

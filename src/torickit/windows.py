@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .errors import InputError, NonCrepantError, WindowLiftError
 from .exactalg import RationalCharacter, rat_equal
 from .gitdata import SemistableLocus, minimal_anticones
-from .localization import EquivClass, euler_characteristic, fixed_point_list, untwisted_trace
+from .localization import EquivClass, localization_sum, vanishes_on
 from .wallcrossing import (
     ExtendedGIT,
     WallCrossing,
@@ -149,32 +149,6 @@ def seven_loci(ext: ExtendedGIT) -> SevenLoci:
 # grade restriction
 
 
-def unstable_koszul_classes(wc: WallCrossing) -> list[EquivClass]:
-    """The classes (one per coordinate vanishing on the removed stratum)
-    whose Koszul product restricts to zero on the minus-side quotient."""
-    _, _, m_minus = partition_M(wc)
-    r, m = wc.base.r, wc.base.m
-    out = []
-    for i in sorted(m_minus):
-        u = tuple(-x for x in wc.base.character(i))
-        s = tuple(1 if j == i else 0 for j in range(1, m + 1))
-        out.append(EquivClass.line(r, m, u, s))
-    return out
-
-
-def _koszul_product(wc: WallCrossing) -> EquivClass:
-    r, m = wc.base.r, wc.base.m
-    product = EquivClass.line(r, m, (0,) * r)
-    for x in unstable_koszul_classes(wc):
-        product = product.tensor(EquivClass.line(r, m, (0,) * r) - x)
-    return product
-
-
-def _vanishes_on(fps, E: EquivClass) -> bool:
-    """Does E restrict to zero at every fixed point and isotropy element?"""
-    return all(untwisted_trace(E, fp).is_zero() for fp in fps)
-
-
 def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
     """Rewrite a class from the minus side so every gauge weight against the
     wall normal lands in [base, base + eta), without changing any fixed-point
@@ -182,9 +156,10 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
 
     Classes with too-high weight are traded down (and too-low traded up)
     through the Koszul relation of the coordinates cutting out the stratum
-    that was removed; the relation is checked to restrict to zero before it
-    is used, and the final lift is checked against the input restriction by
-    restriction at every fixed point.
+    that was removed (``WallCrossing.koszul_relation``, checked once per
+    crossing to restrict to zero on the minus side), and the final lift is
+    checked against the input by restriction at every minus-side fixed
+    point that the crossing holds.
 
     The relation has weights 0..eta_minus, and eta_minus = eta on a crepant
     wall, so trading a term of weight w >= base + eta puts terms only in
@@ -201,10 +176,7 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
     if E.r != wc.base.r or E.m != wc.base.m:
         raise InputError("class does not live on the base data")
     eta = eta_invariants(wc)[0]
-    relation = _koszul_product(wc)
-    fps = fixed_point_list(wc.data_minus)
-    if not _vanishes_on(fps, relation):
-        raise WindowLiftError("Koszul relation does not vanish on the minus side")
+    relation = wc.koszul_relation
     m_minus = partition_M(wc)[2]
     sign = (-1) ** len(m_minus)
     shift_u = tuple(sum(wc.base.character(i)[k] for i in m_minus) for k in range(wc.base.r))
@@ -231,15 +203,16 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
                 current = current - c_class.tensor(relation)
     if any(not base <= weight(u) < base + eta for u, _ in current.terms):
         raise WindowLiftError("window lift left a weight outside [%d, %d)" % (base, base + eta))
-    if not _vanishes_on(fps, current - E):
+    if not vanishes_on(wc.fixed_points_minus, current - E):
         raise WindowLiftError("lift changed a fixed-point restriction")
     return current
 
 
 def lifts_agree(wc: WallCrossing, a: EquivClass, b: EquivClass) -> bool:
     """Two lifts define the same window class when their difference has
-    vanishing restriction at every minus-side fixed point."""
-    return _vanishes_on(fixed_point_list(wc.data_minus), a - b)
+    vanishing restriction at every minus-side fixed point, as the crossing
+    holds them."""
+    return vanishes_on(wc.fixed_points_minus, a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -279,18 +252,22 @@ def fm_euler_check(
     second transports L through the grade-restriction window and pairs it
     with M on the plus side, computed in the same extended presentation so
     both live in one character ring.
+
+    Both sums read the fixed points the crossing and its extension hold
+    (``WallCrossing.fixed_points_plus``, ``ExtendedGIT.fixed_points_tilde``),
+    so a sweep over many pairs that passes one ``ext`` computes them once.
+    Without ``ext`` the crossing is extended here; an ``ext`` of another
+    crossing is refused.
     """
     if not wc.crepant:
         raise NonCrepantError("the comparison is only available across crepant walls")
     if ext is None:
         ext = extend(wc)
+    elif ext.wc != wc:
+        raise InputError("the extension belongs to another wall crossing")
     lifted = window_lift(wc, L, base=window_base)
     pulled = pullback_class(ext, "-", L).tensor(pullback_class(ext, "+", M))
-    # both sides as characters of the base torus: drop the extra variable on
-    # the resolution, where the contractions are equivariant for the
-    # inclusion of the base torus
-    m = wc.base.m
-    drop = [[1 if i == j else 0 for j in range(m)] for i in range(m)] + [[0] * m]
-    chi_res = euler_characteristic(ext.data_tilde, pulled, subtorus=drop)
-    chi_plus = euler_characteristic(wc.data_plus, lifted.tensor(M))
+    # both sides as characters of the base torus
+    chi_res = localization_sum(ext.fixed_points_tilde, pulled, ext.drop)
+    chi_plus = localization_sum(wc.fixed_points_plus, lifted.tensor(M))
     return FMReport(rat_equal(chi_res, chi_plus), chi_res, chi_plus)

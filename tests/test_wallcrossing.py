@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from torickit.wallcrossing import (
     partition_M,
     pullback_class,
 )
-from torickit.windows import seven_loci
+from torickit.windows import fm_euler_check, seven_loci
 
 CONIFOLD = GITData.make(1, [(1,), (1,), (-1,), (-1,)], ["1"])
 KP2 = GITData.make(1, [(1,), (1,), (1,), (-3,)], ["1"])
@@ -260,6 +261,40 @@ def test_one_wall_cell_pass_per_stability_condition(monkeypatch):
     assert calls == []
     seven_loci(ext)
     assert calls == [wc.base.with_omega(wc.omega_zero)]
+
+
+def test_crossing_builds_each_chambers_fixed_points_once(monkeypatch):
+    # make_wall_crossing and extend build no fixed point; a sweep of (L, M)
+    # pairs on one (wc, ext) passes over no wall cells and builds the fixed
+    # point of each cell of the plus, minus and resolution chambers once;
+    # the CLI fm-check passes over each of its six stability conditions
+    # once: the two sides and the crossing point, then the three extended
+    # conditions
+    from torickit import cli, gitdata, localization
+
+    passes, built = [], []
+    wall_cells, fixed_point_data = gitdata._wall_cells, localization.fixed_point_data
+    monkeypatch.setattr(gitdata, "_wall_cells", lambda data: passes.append(data) or wall_cells(data))
+
+    def counted(data, delta):
+        built.append((data, frozenset(delta)))
+        return fixed_point_data(data, delta)
+
+    monkeypatch.setattr(localization, "fixed_point_data", counted)
+    wc = crossing(CONIFOLD)
+    ext = extend(wc)
+    assert built == []
+    passes.clear()
+    for a in (0, 1):
+        for b in (-1, 0, 1):
+            assert fm_euler_check(wc, EquivClass.line(1, 4, (a,)), EquivClass.line(1, 4, (b,)), ext=ext).equal
+    assert passes == []
+    chambers = ((wc.data_plus, wc.cells_plus), (wc.data_minus, wc.cells_minus), (ext.data_tilde, ext.cells_tilde))
+    assert Counter(built) == Counter((data, cell) for data, cells in chambers for cell in cells)
+    assert len(built) == 8
+    passes.clear()
+    assert cli.main(["fm-check", "--example", "conifold", "--L", "O(1)", "--M", "O(0)"]) == 0
+    assert len(passes) == len(set(passes)) == 6
 
 
 def test_extended_conifold_has_four_fixed_points():

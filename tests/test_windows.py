@@ -18,7 +18,7 @@ from torickit.localization import (
     restrict,
     untwisted_trace,
 )
-from torickit.wallcrossing import extend, make_wall_crossing, partition_M, pullback_class
+from torickit.wallcrossing import extend, make_wall_crossing, partition_M, pullback_class, unstable_koszul_classes
 from torickit.windows import (
     Window,
     fm_euler_check,
@@ -26,7 +26,6 @@ from torickit.windows import (
     kn_strata,
     lifts_agree,
     seven_loci,
-    unstable_koszul_classes,
     window_lift,
     window_weights,
 )
@@ -244,6 +243,7 @@ def test_koszul_relation_vanishes_on_minus_side():
             fp = fixed_point_data(wc.data_minus, delta)
             for gi in range(fp.group_order):
                 assert restrict(product, fp, gi).is_zero()
+        assert wc.koszul_relation == product
 
 
 def test_untwisted_trace_decides_vanishing_at_every_element():
@@ -431,14 +431,16 @@ def test_fm_euler_check_on_rank_two_wall():
     assert fm_euler_check(wc, EquivClass.line(2, 5, (1, -1)), EquivClass.line(2, 5, (-1, 1)), ext=ext).equal
 
 
-def test_fm_euler_check_on_random_crepant_walls():
-    import random
+ISOTROPY_WALLS = ((1, 1, 2, -4), (2, 3, -5), (1, 1, 1, 1, -4))  # isotropy on both sides
 
+
+def drawn_crepant_walls(count=6):
+    """Seeded random rank-one crepant walls with both sides admissible."""
     from torickit.gitdata import validate
 
     rng = random.Random(7)
-    found = 0
-    while found < 6:
+    out = []
+    while len(out) < count:
         m = rng.randint(3, 5)
         weights = [(rng.randint(-2, 2),) for _ in range(m)]
         if sum(w[0] for w in weights) != 0:  # keep only crepant candidates
@@ -448,19 +450,78 @@ def test_fm_euler_check_on_random_crepant_walls():
         data = GITData.make(1, weights, ["1"])
         if not validate(data).passed or not validate(data.with_omega(["-1"])).passed:
             continue
+        out.append(data)
+    return out
+
+
+def test_fm_euler_check_on_random_crepant_walls():
+    for data in drawn_crepant_walls():
+        m = data.m
         wc = make_wall_crossing(data, ["1"], ["-1"])
         ext = extend(wc)
         assert fm_euler_check(wc, EquivClass.line(1, m, (1,)), EquivClass.line(1, m, (0,)), ext=ext).equal
         assert fm_euler_check(wc, EquivClass.line(1, m, (2,)), EquivClass.line(1, m, (-1,)), ext=ext).equal
-        found += 1
     # three walls with isotropy on both sides, nine (L, M) pairs each
-    for weights in ((1, 1, 2, -4), (2, 3, -5), (1, 1, 1, 1, -4)):
+    for weights in ISOTROPY_WALLS:
         m = len(weights)
         wc = crossing(GITData.make(1, [(w,) for w in weights], ["1"]))
         with Budget("wall %s" % (weights,), "nine FM pairs", 1.0):
             ext = extend(wc)
             for a, b in itertools.product(range(3), range(-1, 2)):
                 assert fm_euler_check(wc, EquivClass.line(1, m, (a,)), EquivClass.line(1, m, (b,)), ext=ext).equal
+
+
+def sweep_cases():
+    """(data, omega_plus, omega_minus, [(L, M), ...]): the benchmark's
+    fm-sweep pairs, then the walls and pairs of
+    ``test_fm_euler_check_on_random_crepant_walls``."""
+
+    def lines(data, pairs):
+        return [(EquivClass.line(data.r, data.m, u), EquivClass.line(data.r, data.m, v)) for u, v in pairs]
+
+    cases = [
+        (KP2, ["1"], ["-1"], lines(KP2, [((a,), (a - 1,)) for a in (0, 1, 2)])),
+        (CONIFOLD, ["1"], ["-1"], lines(CONIFOLD, [((a,), (b,)) for a in (0, 1) for b in (-1, 0, 1)])),
+        (RANK2, ["1", "1"], ["-1", "1"], lines(RANK2, [((1, 0), (0, 0)), ((1, -1), (-1, 1))])),
+    ]
+    cases += [(data, ["1"], ["-1"], lines(data, [((1,), (0,)), ((2,), (-1,))])) for data in drawn_crepant_walls()]
+    for weights in ISOTROPY_WALLS:
+        data = GITData.make(1, [(w,) for w in weights], ["1"])
+        cases.append((data, ["1"], ["-1"], lines(data, [((a,), (b,)) for a in range(3) for b in range(-1, 2)])))
+    return cases
+
+
+def test_held_crossing_matches_fresh_crossing_per_pair():
+    # one (wc, ext) held over a sweep reports, pair by pair, what a fresh
+    # make_wall_crossing and extend report; its fixed points are the ones
+    # the validating fixed_point_list builds for each chamber
+    for data, plus, minus, pairs in sweep_cases():
+        wc = make_wall_crossing(data, plus, minus)
+        ext = extend(wc)
+        for L, M in pairs:
+            held = fm_euler_check(wc, L, M, ext=ext)
+            fresh_wc = make_wall_crossing(data, plus, minus)
+            fresh = fm_euler_check(fresh_wc, L, M, ext=extend(fresh_wc))
+            assert (str(held.chi_resolution), str(held.chi_plus_side), held.equal) == (
+                str(fresh.chi_resolution),
+                str(fresh.chi_plus_side),
+                fresh.equal,
+            )
+        assert wc.fixed_points_plus == tuple(fixed_point_list(wc.data_plus))
+        assert wc.fixed_points_minus == tuple(fixed_point_list(wc.data_minus))
+        assert ext.fixed_points_tilde == tuple(fixed_point_list(ext.data_tilde, ext.drop))
+
+
+def test_fm_euler_check_refuses_an_extension_of_another_crossing():
+    # the kp2 extension has the conifold's shapes, so reading it would give
+    # a verdict on the wrong resolution
+    wc = crossing(CONIFOLD)
+    foreign = extend(crossing(KP2))
+    for a, b in ((1, 0), (0, 0), (2, 1), (1, -1)):
+        with pytest.raises(InputError):
+            fm_euler_check(wc, O(a), O(b), ext=foreign)
+    # an extension of an equal crossing built apart is its own
+    assert fm_euler_check(wc, O(1), O(0), ext=extend(crossing(CONIFOLD))).equal
 
 
 def test_pullbacks_reduce_on_both_sides():
