@@ -1,6 +1,14 @@
 """Single wall crossings: the wall, its primitive normal, crepancy, and the
 extended GIT data whose three chambers carry both sides and their common
-resolution."""
+resolution.
+
+A crossing also holds what every class sent across it shares: the fixed
+points of its chambers and the Koszul relation of the stratum that turns
+unstable on the minus side.  That stratum is cut out by the coordinates
+whose characters pair negatively with the wall normal (``partition_M``), so
+its relation, like the window widths ``eta_invariants``, depends on the
+crossing alone; ``windows`` reads it for each lift.
+"""
 
 from __future__ import annotations
 
@@ -183,8 +191,8 @@ def eta_invariants(wc: WallCrossing) -> tuple[int, int]:
 class ExtendedGIT:
     """Rank-(r+1) data on m+1 coordinates realizing both sides and the blow-up.
 
-    As on ``WallCrossing``, the side data and the resolution's fixed points
-    are computed on first read and then held.
+    As on ``WallCrossing``, the resolution's fixed points are computed on
+    first read and then held.
     """
 
     wc: WallCrossing
@@ -200,11 +208,11 @@ class ExtendedGIT:
     cells_minus: tuple = field(compare=False)
     cells_tilde: tuple = field(compare=False)
 
-    @cached_property
+    @property
     def data_plus(self) -> GITData:
         return self.data.with_omega(self.omega_plus)
 
-    @cached_property
+    @property
     def data_minus(self) -> GITData:
         return self.data.with_omega(self.omega_minus)
 
