@@ -206,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, need_class=False):
-        p.add_argument("--data", help="path to GIT data JSON")
-        p.add_argument("--example", help="built-in example name")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--data", help="path to GIT data JSON")
+        source.add_argument("--example", help="built-in example name")
         p.add_argument("--json", action="store_true", help="emit machine-readable JSON")
         if need_class:
             p.add_argument("--class", dest="class_spec", default=None, help='class spec: O(a), JSON, or @file')
@@ -220,15 +221,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hrr-check", help="compare the expansion with the index formula")
     add_common(p, need_class=True)
     p.add_argument("--order", type=int, default=6)
+    omega_help = "stability condition, comma-separated rationals; one that starts with '-' follows '=', as --omega-minus=-1,1"
     for name in ("wallcross", "windows", "fm-check"):
         p = sub.add_parser(name, help="wall-crossing / window operations")
         add_common(p)
-        p.add_argument("--omega-plus", help="stability condition, comma-separated rationals")
-        p.add_argument("--omega-minus", help="stability condition, comma-separated rationals")
-        p.add_argument("--window-base", type=int, default=0)
+        p.add_argument("--omega-plus", help=omega_help)
+        p.add_argument("--omega-minus", help=omega_help)
+        if name != "wallcross":
+            p.add_argument("--window-base", type=int, default=0)
         if name == "windows":
-            p.add_argument("--lift", help="class to lift into the window")
-            p.add_argument("--check-fm", nargs=2, metavar=("L", "M"), help="compare pull-push with the window transport")
+            action = p.add_mutually_exclusive_group()
+            action.add_argument("--lift", help="class to lift into the window")
+            action.add_argument("--check-fm", nargs=2, metavar=("L", "M"), help="compare pull-push with the window transport")
         if name == "fm-check":
             p.add_argument("--L", required=True, help="class on the minus side")
             p.add_argument("--M", required=True, help="class on the plus side")

@@ -158,9 +158,10 @@ def make_wall_crossing(base: GITData, omega_plus, omega_minus) -> WallCrossing:
 
 def partition_M(wc: WallCrossing):
     """Indices with positive / zero / negative pairing against the normal."""
-    m_plus = frozenset(i for i in range(1, wc.base.m + 1) if wc.pairing(i) > 0)
-    m_zero = frozenset(i for i in range(1, wc.base.m + 1) if wc.pairing(i) == 0)
-    m_minus = frozenset(i for i in range(1, wc.base.m + 1) if wc.pairing(i) < 0)
+    pairings = {i: wc.pairing(i) for i in range(1, wc.base.m + 1)}
+    m_plus = frozenset(i for i, p in pairings.items() if p > 0)
+    m_zero = frozenset(i for i, p in pairings.items() if p == 0)
+    m_minus = frozenset(i for i, p in pairings.items() if p < 0)
     if not m_plus or not m_minus:
         raise OneSidedWallError("one-sided wall: characters pair with a single sign")
     return m_plus, m_zero, m_minus

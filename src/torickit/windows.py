@@ -36,6 +36,10 @@ class KNStratum:
     blade_support: frozenset  # coordinates allowed nonzero on S
     eta: int
 
+    def weight(self, u) -> int:
+        """The gauge pairing of the character u against the subgroup."""
+        return sum(a * b for a, b in zip(u, self.lam))
+
 
 @dataclass(frozen=True)
 class Window:
@@ -72,15 +76,13 @@ def window_weights(E: EquivClass, stratum: KNStratum) -> list[int]:
     with multiplicity."""
     if E.r != len(stratum.lam):
         raise InputError("class gauge rank does not match the stratum")
-    out = []
-    for (u, _s), coeff in E.sorted_terms():
-        w = sum(a * b for a, b in zip(u, stratum.lam))
-        out.extend([w] * abs(coeff))
-    return out
+    return [stratum.weight(u) for (u, _s), coeff in E.sorted_terms() for _ in range(abs(coeff))]
 
 
 def in_window(E: EquivClass, window: Window) -> bool:
-    return all(window.contains(w) for w in window_weights(E, window.stratum))
+    if E.r != len(window.stratum.lam):
+        raise InputError("class gauge rank does not match the stratum")
+    return all(window.contains(window.stratum.weight(u)) for u, _s in E.terms)
 
 
 @dataclass(frozen=True)
@@ -154,55 +156,45 @@ def window_lift(wc: WallCrossing, E: EquivClass, base: int = 0) -> EquivClass:
     wall normal lands in [base, base + eta), without changing any fixed-point
     restriction on the minus side.
 
-    Classes with too-high weight are traded down (and too-low traded up)
-    through the Koszul relation of the coordinates cutting out the stratum
-    that was removed (``WallCrossing.koszul_relation``, checked once per
-    crossing to restrict to zero on the minus side), and the final lift is
-    checked against the input by restriction at every minus-side fixed
-    point that the crossing holds.
-
-    The relation has weights 0..eta_minus, and eta_minus = eta on a crepant
-    wall, so trading a term of weight w >= base + eta puts terms only in
-    [w - eta, w) and trading one of weight w < base only in (w, w + eta].
-    Sweeping the levels from the outside in, down from the class's highest
-    weight and then up from its lowest, therefore clears each level for
-    good: the sweep is bounded by the weight range of E.  The result does
-    not depend on the order of the trades: two lifts differ by f times the
-    relation, whose weights span at least eta, so no nonzero difference fits
-    in the window.
+    The lift is division with remainder by the Koszul relation prod (1 - x)
+    of the stratum that was removed (``WallCrossing.koszul_relation``,
+    checked once per crossing to restrict to zero on the minus side).  Its
+    weights run over 0..eta_minus, eta_minus = eta on a crepant wall, and its
+    two end terms are units: 1 at weight 0 and +-prod x at weight eta.  So a
+    term of weight w >= base + eta is traded down against the top term,
+    leaving terms only in [w - eta, w), and one of weight w < base up against
+    1, leaving terms only in (w, w + eta].  Sweeping the levels from the
+    outside in, down from the class's highest weight and then up from its
+    lowest, clears each level for good.  Each trade updates one term dict by
+    the relation's terms, and a class of degree k takes one trade per term
+    of the quotient: O(k^2) when two coordinates cut out the stratum, as on
+    the conifold.  The lift is checked by restriction at every minus-side
+    fixed point the crossing holds.  It does not depend on the order of the
+    trades: two lifts differ by f times the relation, whose weights span at
+    least eta, so no nonzero difference fits in the window.
     """
     if not wc.crepant:
         raise NonCrepantError("window lifts are only taken across crepant walls")
     if E.r != wc.base.r or E.m != wc.base.m:
         raise InputError("class does not live on the base data")
-    eta = eta_invariants(wc)[0]
-    relation = wc.koszul_relation
-    m_minus = partition_M(wc)[2]
-    sign = (-1) ** len(m_minus)
-    shift_u = tuple(sum(wc.base.character(i)[k] for i in m_minus) for k in range(wc.base.r))
-    shift_s = tuple(-1 if j in m_minus else 0 for j in range(1, wc.base.m + 1))
-
-    def weight(u):
-        return sum(a * b for a, b in zip(u, wc.e))
-
-    levels = [weight(u) for u, _ in E.terms]
-    top, bottom = max(levels, default=base), min(levels, default=base)
-    current = E
-    for w in itertools.chain(range(top, base + eta - 1, -1), range(bottom, base)):
-        for (u, s), coeff in current.sorted_terms():
-            if weight(u) != w:
-                continue
-            if w >= base + eta:
-                # C = (u,s) detensored by the full Koszul monomial
-                cu = tuple(a + b for a, b in zip(u, shift_u))
-                cs = tuple(a + b for a, b in zip(s, shift_s))
-                c_class = EquivClass.line(wc.base.r, wc.base.m, cu, cs, coeff)
-                current = current - sign * c_class.tensor(relation)
-            else:
-                c_class = EquivClass.line(wc.base.r, wc.base.m, u, s, coeff)
-                current = current - c_class.tensor(relation)
-    if any(not base <= weight(u) < base + eta for u, _ in current.terms):
-        raise WindowLiftError("window lift left a weight outside [%d, %d)" % (base, base + eta))
+    window = Window(kn_strata(wc)[0], base)
+    weight = window.stratum.weight
+    relation = wc.koszul_relation.terms
+    bottom, *_, top = sorted(relation, key=lambda key: weight(key[0]))
+    terms = dict(E.terms)
+    levels = [weight(u) for u, _ in terms] or [base]
+    for w in itertools.chain(range(max(levels), base + window.width - 1, -1), range(min(levels), base)):
+        pivot = top if w >= base else bottom
+        for key in [key for key, c in terms.items() if c and weight(key[0]) == w]:
+            # the end coefficients are +-1, so dividing by one multiplies by it
+            coeff = terms[key] * relation[pivot]
+            for rkey, rc in relation.items():
+                term = tuple(tuple(a + b - c for a, b, c in zip(*parts)) for parts in zip(rkey, key, pivot))
+                terms[term] = terms.get(term, 0) - coeff * rc
+            del terms[key]  # the pivot's own term cancelled it
+    current = EquivClass(E.r, E.m, terms)
+    if not in_window(current, window):
+        raise WindowLiftError("window lift left a weight outside [%d, %d)" % (base, base + window.width))
     if not vanishes_on(wc.fixed_points_minus, current - E):
         raise WindowLiftError("lift changed a fixed-point restriction")
     return current

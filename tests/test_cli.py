@@ -192,6 +192,36 @@ def test_non_crepant_wall_exits_2(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("input error:") and "crepant" in err
 
 
+@pytest.mark.parametrize(
+    "argv, options",
+    [
+        (["windows", "--example", "conifold", "--lift", "O(2)", "--check-fm", "O(0)", "O(0)"], ["--lift", "--check-fm"]),
+        (["validate", "--example", "conifold", "--data", "missing.json"], ["--example", "--data"]),
+        (["wallcross", "--example", "conifold", "--window-base", "1"], ["--window-base"]),
+    ],
+    ids=["lift-with-check-fm", "example-with-data", "wallcross-window-base"],
+)
+def test_option_that_would_be_ignored_exits_2(capsys, tmp_path, argv, options):
+    # each of these once exited 0 with one of the options unread
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert all(option in err for option in options) and "Traceback" not in err
+
+
+def test_stability_condition_starting_with_minus_is_given_after_equals(capsys, tmp_path):
+    # argparse reads "--omega-minus -1,1" as a missing value, so the rank-2
+    # wall's omega_minus = (-1, 1) is written --omega-minus=-1,1
+    path = tmp_path / "rank2.json"
+    path.write_text('{"r": 2, "m": 5, "weights": [[1,-1],[1,-1],[-1,0],[-1,0],[0,1]], "omega": ["1","1"]}')
+    code, out, err = run_cli(capsys, "wallcross", "--data", str(path), "--omega-plus", "1,1", "--omega-minus=-1,1", "--json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["e"] == [1, 0] and payload["crepant"] is True
+
+
 def test_euler_at_isotropy_order_200(capsys, tmp_path):
     # the fixed point {2,3} has |G| = 200
     path = tmp_path / "d100.json"

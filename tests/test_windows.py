@@ -6,6 +6,7 @@ import random
 import pytest
 
 from budget import Budget
+from lift_reference import reference_lift
 from torickit.errors import InputError, NonCrepantError, NotAdjacentError, OnWallError
 from simplex_reference import cone_contains
 from torickit.exactalg import rat_equal
@@ -347,6 +348,40 @@ def test_window_lift_far_outside_the_window():
             lifted = window_lift(wc, E)  # checks every minus-side restriction
             assert in_window(lifted, Window(sp, 0))
             assert lifts_agree(wc, lifted, E)
+
+
+def test_window_lift_matches_the_trade_loop_reference():
+    # the division by the relation returns the class the term-by-term trade
+    # loop returns, on torus-twisted classes with coefficients other than +-1
+    rng = random.Random(29)
+    walls = [crossing(CONIFOLD), crossing(KP2), make_wall_crossing(RANK2, ["1", "1"], ["-1", "1"])]
+    walls += [crossing(data) for data in drawn_crepant_walls()]
+    compared = moved = 0
+    for wc in walls:
+        r, m = wc.base.r, wc.base.m
+        for base, _ in itertools.product(range(-2, 3), range(4)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                u = tuple(rng.randint(-9, 9) for _ in range(r))
+                s = tuple(rng.randint(-2, 2) for _ in range(m))
+                terms[(u, s)] = rng.choice((-3, -2, 2, 3, 5))
+            E = EquivClass(r, m, terms)
+            lifted = window_lift(wc, E, base)
+            assert lifted == reference_lift(wc, E, base)
+            compared += 1
+            moved += lifted != E
+    assert compared == 9 * 5 * 4 and moved >= compared // 2
+
+
+def test_window_lift_of_degree_200_within_budget():
+    rank2 = make_wall_crossing(RANK2, ["1", "1"], ["-1", "1"])
+    for wc in (crossing(CONIFOLD), rank2):
+        sp, _ = kn_strata(wc)
+        for sign in (1, -1):
+            E = EquivClass.line(wc.base.r, wc.base.m, (sign * 200,) + (0,) * (wc.base.r - 1))
+            with Budget("lift of %s on e = %s" % (E.sorted_terms()[0][0], wc.e), "degree-200 window lift", 5.0):
+                lifted = window_lift(wc, E)
+            assert in_window(lifted, Window(sp, 0)) and lifts_agree(wc, lifted, E)
 
 
 def test_window_lift_is_linear():
