@@ -3,7 +3,10 @@
 One type serves two roles.  As a character, a monomial is e^{q.lambda} for
 an exponent vector q with rational entries (the fractional weights showing
 up at orbifold fixed points).  As a graded piece of an expansion in lambda
-(see ``series``), a monomial is lambda^e with integer exponents.  An
+(see ``series``), a monomial is lambda^e with integer exponents; inside an
+expansion ``series`` packs its monomials into ints and multiplies them
+with its own kernel, so ``mul_terms`` serves ``LaurentPoly`` products
+only: characters, ``RationalCharacter.power_series`` and ``RatFun``.  An
 exponent is a tuple whose entries stay ``int`` or ``Fraction`` as given
 (``exp_apply`` and the fixed-point weights give integral entries as int);
 keys compare and hash by value, since hash(Fraction(n)) == hash(n).
@@ -67,7 +70,9 @@ def mul_terms(a: dict, b: dict, bound=None) -> dict:
     """The product of two term dicts; under a ``bound``, only its monomials of
     total degree at most ``bound``: each term of ``a`` meets only the prefix
     of ``b``'s terms, sorted by degree, that stays under it.  A coefficient
-    that cancels stays as a 0 entry, for the caller to drop."""
+    that cancels stays as a 0 entry, for the caller to drop.  It serves
+    ``LaurentPoly.__mul__``/``.mul``, whose exponents may be fractional or
+    negative and so are not packed as in ``series``."""
     terms = list(b.items())
     if bound is not None:
         terms.sort(key=lambda t: sum(t[0]))

@@ -10,17 +10,19 @@ largest multiplicity.
 
 The expansion runs in integers: each truncated series is a dict of
 integer numerators with one rational scale, every power series is read
-off the integer powers of its linear form, and products go through
-``laurent.mul_terms``.  A root of unity only multiplies scalars: the terms
-sharing their poles sum one scalar per monomial and pattern of powers of
-linear forms, and each sum must be rational.  Graded pieces are quotients
-of ``LaurentPoly`` values in lambda with integer exponents and ``Cyc``
-coefficients: the sparse polynomial type of the characters, whose
-exponents in e^lambda may be fractional, read here as monomials lambda^e.
+off the integer powers of its linear form, and products run on packed
+monomials (``Packing``).  A root of unity only multiplies scalars: the
+terms sharing their poles sum one scalar per monomial and pattern of
+powers of linear forms, and each sum must be rational.  Graded pieces
+are quotients of ``LaurentPoly`` values in lambda with integer exponents
+and ``Cyc`` coefficients: the sparse polynomial type of the characters,
+whose exponents in e^lambda may be fractional, read here as monomials
+lambda^e.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +30,7 @@ from math import comb, factorial, lcm, prod
 
 from .cyclotomic import Cyc
 from .intlinalg import primitive_form
-from .laurent import LaurentPoly, mul_terms
+from .laurent import LaurentPoly
 from .ratchar import RationalCharacter
 
 
@@ -120,19 +122,25 @@ class GradedSeries:
                 self.data[n] = piece
 
     @staticmethod
-    def split(nvars: int, num, den: dict, order: int) -> "GradedSeries":
-        """num/den for num = (terms, x), x times an integer term dict, and den
-        a homogeneous integer term dict, by degree: a monomial of degree e in
-        num belongs to the piece of degree e - deg(den).  The pieces'
-        coefficients become ``Cyc`` here."""
+    def split(packing: "Packing", num, den: dict, order: int) -> "GradedSeries":
+        """num/den for num = (terms, x), x times a packed integer term dict,
+        and den a homogeneous one, by degree: a monomial of degree d in num
+        belongs to the piece of degree d - deg(den).  Each key is unpacked
+        once, and the pieces' coefficients become ``Cyc`` here."""
+        def piece(terms):
+            p = LaurentPoly.__new__(LaurentPoly)
+            p.nvars, p.terms = packing.nvars, terms
+            return p
+
         terms, x = num
-        shift = sum(next(iter(den)))
+        shift = next(iter(den)) // packing.top
+        den = piece({packing.unpack(k)[1]: Cyc.rational(c) for k, c in den.items() if c})
         pieces = {}
-        for e, v in terms.items():
+        for k, v in terms.items():
             if v:
-                pieces.setdefault(sum(e) - shift, {})[e] = v * x
-        den = LaurentPoly(nvars, den)
-        return GradedSeries(nvars, order, {n: RatFun(LaurentPoly(nvars, t), den) for n, t in pieces.items()})
+                d, e = packing.unpack(k)
+                pieces.setdefault(d - shift, {})[e] = Cyc.rational(v * x)
+        return GradedSeries(packing.nvars, order, {n: RatFun(piece(t), den) for n, t in pieces.items()})
 
     def coefficient(self, n: int) -> RatFun:
         return self.data.get(n, RatFun.scalar(self.nvars, 0))
@@ -192,20 +200,54 @@ def bernoulli_coefficient(n: int) -> Fraction:
 # truncated series: after lambda -> t*lambda every series here has a t^n part
 # homogeneous of degree n in lambda, so one polynomial cut above total
 # degree nmax holds it, as a pair (terms, x) of integer numerators and one
-# rational scale: lambda^e has coefficient x*terms[e].
+# rational scale: lambda^e has coefficient x*terms[e], its key packed.
 
 
-def linear_powers(mu, nmax: int, known: dict):
-    """(L, [p_0, ..., p_nmax]) with p_n = (nu.lambda)^n as an integer term
-    dict, nu = L*mu and L the lcm of mu's denominators.  ``known`` maps each
-    form to the powers built so far within one expansion, and is extended."""
-    if mu not in known:
+class Packing:
+    """One expansion's monomials as ints with the degree on top (Monagan and
+    Pearce's packed exponent vectors): lambda^e is deg(e)*B^n + sum e_i*B^i.
+    B exceeds every degree reached, so no digit carries, a product of
+    monomials adds keys, and sorted keys are sorted by degree.  ``powers``
+    holds each linear form's powers built so far (``linear_powers``)."""
+
+    __slots__ = ("nvars", "base", "top", "powers")
+
+    def __init__(self, nvars: int, degree: int):
+        self.nvars, self.base, self.top, self.powers = nvars, degree + 1, (degree + 1) ** nvars, {}
+
+    def mul(self, a: dict, b: dict, bound=None) -> dict:
+        """The product of two packed term dicts, cut above total degree
+        ``bound``: a term of ``a`` with key k meets only the prefix of ``b``'s
+        sorted keys below (bound + 1)*B^n - k.  A cancelled term stays as 0."""
+        terms = sorted(b.items())
+        if bound is not None:
+            keys, end = [k for k, _ in terms], (bound + 1) * self.top
+        acc = defaultdict(int)
+        for k1, x in a.items():
+            for k2, y in terms if bound is None else terms[: bisect_left(keys, end - k1)]:
+                acc[k1 + k2] += x * y
+        return acc
+
+    def unpack(self, key: int):
+        """(deg(e), e) for the key of lambda^e; a carry out of a digit breaks
+        sum(e) == deg(e), and raises."""
+        degree, rest = divmod(key, self.top)
+        e = tuple(rest // self.base**i % self.base for i in range(self.nvars))
+        if sum(e) != degree:
+            raise OverflowError("packed monomial %d carried out of a digit of base %d" % (key, self.base))
+        return degree, e
+
+
+def linear_powers(mu, nmax: int, known: Packing):
+    """(L, [p_0, ..., p_nmax]) with p_n = (nu.lambda)^n as a packed integer
+    term dict (lambda_i is B^i + B^n), nu = L*mu and L the lcm of mu's
+    denominators.  ``known.powers`` is extended."""
+    if mu not in known.powers:
         L = lcm(*(Fraction(x).denominator for x in mu))
-        unit = [tuple(int(i == j) for j in range(len(mu))) for i in range(len(mu))]
-        known[mu] = L, [{(0,) * len(mu): 1}, {e: int(x * L) for e, x in zip(unit, mu) if x}]
-    L, powers = known[mu]
+        known.powers[mu] = L, [{0: 1}, {known.base**i + known.top: int(x * L) for i, x in enumerate(mu) if x}]
+    L, powers = known.powers[mu]
     while len(powers) <= nmax:
-        powers.append(mul_terms(powers[-1], powers[1]))
+        powers.append(known.mul(powers[-1], powers[1]))
     return L, powers[: nmax + 1]
 
 
@@ -223,9 +265,9 @@ def _sum(parts):
     return total, Fraction(1, den)
 
 
-def _times(a, b, bound=None):
+def _times(a, b, known: Packing, bound=None):
     """The product of two (terms, x) series, cut above total degree ``bound``."""
-    return mul_terms(a[0], b[0], bound), a[1] * b[1]
+    return known.mul(a[0], b[0], bound), a[1] * b[1]
 
 
 def power_series(powers, coefficient):
@@ -247,7 +289,7 @@ def regular_factor_series(c: Cyc, nmax: int) -> list:
     return a
 
 
-def _scalar_terms(regulars, nmax: int, known: dict) -> list:
+def _scalar_terms(regulars, nmax: int, known: Packing) -> list:
     """The terms of prod_f 1/(1 - c_f*e^{mu_f.lambda}) of total degree at
     most nmax, as (pattern, scalar, degree left): a scalar prod a_n(c_f)/L^n
     times prod (nu.lambda)^n over the pattern's sorted (mu, n), n > 0 and
@@ -265,11 +307,11 @@ def _scalar_terms(regulars, nmax: int, known: dict) -> list:
     return terms
 
 
-def _times_powers(terms: dict, pattern, known: dict) -> dict:
+def _times_powers(terms: dict, pattern, known: Packing) -> dict:
     """terms times prod (nu.lambda)^n over a pattern's (mu, n), one power at
     a time, with nu as in ``linear_powers``."""
     for mu, n in pattern:
-        terms = mul_terms(terms, linear_powers(mu, n, known)[1][n])
+        terms = known.mul(terms, linear_powers(mu, n, known)[1][n])
     return terms
 
 
@@ -296,18 +338,24 @@ def expand_rational(x, order: int) -> GradedSeries:
     forms at their largest multiplicity (``primitive_form``), so that both
     sides of ``hrr_check`` share it, the numerators add up to one integer
     series, which ``GradedSeries.split`` cuts into homogeneous pieces with
-    ``Cyc`` coefficients.
+    ``Cyc`` coefficients.  A group's series is cut at the order plus its
+    number of poles and its cofactor adds deg(common) less that number, so
+    no degree reached exceeds the order plus deg(common) (``Packing``).
     """
     if isinstance(x, LaurentPoly):
         x = RationalCharacter.from_poly(x)
-    nvars = x.nvars
-    known = {}
-    one = {(0,) * nvars: 1}
     groups = {}
     for num, den in x.terms:
         poles = tuple(f.mu for f in den if f.c == 1)
         groups.setdefault(poles, []).append((num, [f for f in den if f.c != 1]))
-    expanded, common = [], Counter()
+    # the common denominator, and with it the packing, before any power
+    forms, common = {}, Counter()
+    for poles in groups:
+        primitive = [primitive_form(mu) for mu in poles]
+        forms[poles] = prod(-1 / s for s, _ in primitive), Counter(f for _, f in primitive)
+        common |= forms[poles][1]
+    # a degree of at least 1 keeps the forms' unit keys B^i + B^n apart
+    known, one, expanded = Packing(x.nvars, max(order, 1) + sum(common.values())), {0: 1}, []
     for poles, members in groups.items():
         nmax = order + len(poles)
         scalars = defaultdict(Counter)  # q -> pattern -> summed scalar
@@ -321,15 +369,12 @@ def expand_rational(x, order: int) -> GradedSeries:
         parts = []
         for q, sums in scalars.items():
             part = _sum((_times_powers(one, p, known), v.coeffs[0]) for p, v in sums.items() if v)
-            parts.append(_times(part, power_series(linear_powers(q, nmax, known), exp_coefficient), nmax))
+            parts.append(_times(part, power_series(linear_powers(q, nmax, known), exp_coefficient), known, nmax))
         series = _sum(parts)
         for mu in poles:
-            series = _times(series, power_series(linear_powers(mu, nmax, known), bernoulli_coefficient), nmax)
-        primitive = [primitive_form(mu) for mu in poles]
-        pole_forms = Counter(f for _, f in primitive)
-        expanded.append((series, prod(-1 / s for s, _ in primitive), pole_forms))
-        common |= pole_forms
+            series = _times(series, power_series(linear_powers(mu, nmax, known), bernoulli_coefficient), known, nmax)
+        expanded.append((series, *forms[poles]))
     # a primitive form has L = 1, so nu is the form itself
     den = _times_powers(one, common.items(), known)
     parts = ((_times_powers(terms, (common - f).items(), known), k * scale) for (terms, k), scale, f in expanded)
-    return GradedSeries.split(nvars, _sum(parts), den, order)
+    return GradedSeries.split(known, _sum(parts), den, order)

@@ -409,6 +409,15 @@ def test_euler_additive_on_virtual_classes():
     assert rat_equal(lhs, RationalCharacter.from_poly(sections))
 
 
+def test_hrr_check_below_the_lowest_degree_prints_zero():
+    # the expansion of P(1,2) starts in degree 0, so a negative order leaves
+    # both sides empty
+    for order in (-1, -2, -5):
+        report = hrr_check(P12, O(P12, 1), order)
+        assert report.equal and report.first_mismatch_degree is None
+        assert str(report.lhs) == str(report.rhs) == "0 (+ O(deg %d))" % (order + 1)
+
+
 def test_hrr_check_virtual_class():
     virtual = EquivClass.line(1, 2, (2,)) - EquivClass.line(1, 2, (0,))
     assert hrr_check(P12, virtual, 3).equal

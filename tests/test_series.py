@@ -9,9 +9,10 @@ import series_reference
 from budget import Budget
 from torickit.exactalg.cyclotomic import Cyc
 from torickit.exactalg.intlinalg import primitive_form
-from torickit.exactalg.laurent import LaurentPoly
+from torickit.exactalg.laurent import LaurentPoly, mul_terms
 from torickit.exactalg.ratchar import Factor, RationalCharacter, rat_equal
 from torickit.exactalg.series import (
+    Packing,
     RatFun,
     bernoulli,
     expand_rational,
@@ -264,3 +265,67 @@ def test_integer_expansion_agrees_with_cyc_reference():
     # no kind of draw passes vacuously
     assert min(seen[k] for k in ("fractional", "shared forms", "galois pairs")) >= 20, seen
     assert min(seen[k] for k in ("non-rational", "order 6", "4 variables")) >= 5, seen
+
+
+def test_expansion_reaching_the_top_digit_agrees_with_reference(monkeypatch):
+    # e^{2 l1}/(1 - e^{l1})^3 at order 6 packs with B = 6 + 3 + 1, and its
+    # numerator reaches l1^9, the top value of a digit
+    reached = []
+    unpack = Packing.unpack
+
+    def recording(self, key):
+        degree, e = unpack(self, key)
+        reached.append((self.base, max(e)))
+        return degree, e
+
+    monkeypatch.setattr(Packing, "unpack", recording)
+    pole = Factor(Cyc.rational(1), (Fraction(1), Fraction(0)))
+    x = RationalCharacter.fraction(LaurentPoly.monomial(2, (2, 0)), [pole] * 3)
+    got, reference = expand_rational(x, 6), series_reference.expand_rational(x, 6)
+    assert max(reached) == (10, 9)
+    assert got.first_mismatch(reference) is None and reference.first_mismatch(got) is None
+    assert str(got) == str(reference) and min(got.data) == -3 and max(got.data) == 6
+
+
+def test_carry_out_of_a_digit_raises():
+    # l1^3 * l1 with B = 4 carries into l2's digit: the key reads as l2 of
+    # degree 4, and unpacking it raises (not an assert, so python -O keeps it)
+    packing = Packing(2, 3)
+    product = packing.mul({3 + 3 * packing.top: 1}, {1 + packing.top: 1})
+    assert packing.unpack(3 + 3 * packing.top) == (3, (3, 0))
+    with pytest.raises(OverflowError, match="carried"):
+        packing.unpack(*product)
+
+
+def test_packed_product_agrees_with_mul_terms():
+    # seeded term dicts with nonnegative exponents in 1-4 variables, packed
+    # with the least base that holds their full product, against the tuple
+    # kernel, without a bound and under every bound from below the lowest
+    # degree of the product to above its highest; a term of a with key k
+    # stops b at (bound + 1)*B^n - k, which falls inside the keys of one
+    # degree of b unless k = 0, the constant monomial
+    rng = random.Random(30)
+    cut = top = 0  # bounds that dropped some terms but not all; draws reaching digit B - 1
+    for _ in range(150):
+        nvars = rng.randint(1, 4)
+        a, b = (
+            {tuple(rng.randint(0, 4) for _ in range(nvars)): rng.randint(-3, 3) for _ in range(rng.randint(1, 6))}
+            for _ in range(2)
+        )
+        degree = max(map(sum, a)) + max(map(sum, b))
+        packing = Packing(nvars, degree)
+
+        def pack(terms):
+            return {sum(e) * packing.top + sum(k * packing.base**i for i, k in enumerate(e)): v for e, v in terms.items()}
+
+        def unpacked(terms):
+            return {packing.unpack(k)[1]: v for k, v in terms.items() if v}
+
+        full = {e: v for e, v in mul_terms(a, b).items() if v}
+        assert unpacked(packing.mul(pack(a), pack(b))) == full
+        top += any(packing.base - 1 in e for e in full)
+        for bound in range(-1, degree + 2):
+            expected = {e: v for e, v in mul_terms(a, b, bound).items() if v}
+            assert unpacked(packing.mul(pack(a), pack(b), bound)) == expected
+            cut += 0 < len(expected) < len(full)
+    assert cut >= 200 and top >= 10, (cut, top)
